@@ -10,7 +10,8 @@
  * completion
  * and reports host-side speed for the post-warmup segment: simulated
  * cycles/sec, requests/sec, heap allocations per request, and peak
- * RSS. The simulated metrics go into the usual palermo-metrics-v1
+ * RSS (per point: the kernel's high-water mark is reset before each
+ * one). The simulated metrics go into the usual palermo-metrics-v1
  * "points" records (so perf_compare can pin them exactly — they are
  * deterministic); the host-side numbers go into "derived" under
  * "speed.<id>.*" (they vary run to run and are gated with tolerance).
@@ -185,10 +186,30 @@ parseSpeedArgs(int argc, const char *const *argv, SpeedOptions *options,
     return true;
 }
 
-/** Peak RSS of this process so far, in MiB (Linux ru_maxrss is KiB). */
+/**
+ * Restart the kernel's peak-RSS mark (VmHWM) at the current RSS, so the
+ * next peakRssMb() covers one design point rather than the process
+ * lifetime. A no-op where /proc/self/clear_refs does not exist.
+ */
+void
+resetPeakRss()
+{
+    std::ofstream("/proc/self/clear_refs") << "5";
+}
+
+/**
+ * Peak RSS since the last resetPeakRss(), in MiB: VmHWM from
+ * /proc/self/status (KiB). Falls back to the lifetime ru_maxrss (KiB
+ * on Linux) where /proc is unavailable.
+ */
 double
 peakRssMb()
 {
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("VmHWM:", 0) == 0)
+            return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
     struct rusage usage{};
     ::getrusage(RUSAGE_SELF, &usage);
     return static_cast<double>(usage.ru_maxrss) / 1024.0;
@@ -212,6 +233,7 @@ struct HostSpeed
 RunMetrics
 runPoint(ProtocolKind kind, const SystemConfig &config, HostSpeed *speed)
 {
+    resetPeakRss();
     auto session = makeSession(kind, Workload::Random, config);
     const std::uint64_t warmup_served = static_cast<std::uint64_t>(
         config.totalRequests * config.warmupFraction);
@@ -242,8 +264,8 @@ runPoint(ProtocolKind kind, const SystemConfig &config, HostSpeed *speed)
             static_cast<double>(allocs1 - allocs0)
             / static_cast<double>(metrics.measuredRequests);
     }
-    // Cumulative process peak: monotone across the grid, so a point's
-    // value reflects the largest tree run so far, itself included.
+    // This point's own peak (set-up included): the mark was reset
+    // before its session was built.
     speed->peakRssMb = peakRssMb();
     return metrics;
 }

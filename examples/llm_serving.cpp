@@ -8,7 +8,7 @@
  * information about whether a token was recently used (stash hit).
  * The closing section serves the same table through the src/service
  * layer as a batch of closed-loop decode streams — the serving-system
- * view that tools/palermo_loadgen sweeps into saturation curves.
+ * view that `palermo_scenario --sweep` turns into saturation curves.
  *
  * Build & run:  ./build/examples/llm_serving
  */
@@ -105,6 +105,7 @@ main()
                 snap.global.latency.quantile(0.50),
                 snap.global.latency.quantile(0.99));
     std::printf("sweep stream counts and arrival rates with "
-                "tools/palermo_loadgen.\n");
+                "palermo_scenario --sweep (tools/scenarios/"
+                "saturation-closed.json).\n");
     return 0;
 }

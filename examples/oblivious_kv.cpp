@@ -10,7 +10,7 @@
  * prototype grew into — src/service's ObliviousKvService — where the
  * full timing stack (queue, controller, DRAM) prices every GET/PUT
  * and two tenants share one ORAM without sharing a namespace. The
- * production-shaped driver around that layer is tools/palermo_loadgen.
+ * production-shaped driver around that layer is tools/palermo_scenario.
  *
  * Build & run:  ./build/examples/oblivious_kv
  */
@@ -192,7 +192,7 @@ main()
                     t,
                     (unsigned long long)snap.perTenant[t].completed,
                     snap.perTenant[t].latency.quantile(0.99));
-    std::printf("sweep this with tools/palermo_loadgen "
-                "(--openloop/--closedloop).\n");
+    std::printf("sweep this with tools/palermo_scenario "
+                "tools/scenarios/saturation-open.json --sweep 1,2,4.\n");
     return 0;
 }

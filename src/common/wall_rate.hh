@@ -1,12 +1,11 @@
 /**
  * @file
- * Wall-clock throughput meter shared by the external drivers.
+ * Wall-clock throughput meter for the external drivers.
  *
- * palermo_replay's --progress lines and palermo_loadgen's per-point
- * reporting both want "requests per wall second since the run
- * started"; this is the one implementation of that computation, so
- * the two tools cannot drift (and a future server main-loop reuses
- * it as-is). Wall-clock values are reporting-only: they never enter
+ * palermo_replay's --progress lines want "requests per wall second
+ * since the run started"; this is the one implementation of that
+ * computation, so any other driver (a future server main loop) reuses
+ * it as-is. Wall-clock values are reporting-only: they never enter
  * JSON documents or any deterministic statistic.
  */
 

@@ -3,8 +3,9 @@
  * Shared traffic-shape primitives: arrival processes and key samplers.
  *
  * One home for the randomness that turns a seed into client behavior,
- * used by both the single-stream load generator (src/service/loadgen)
- * and the multi-tenant scenario engine (src/scenario/engine). Arrival
+ * used by the multi-tenant scenario engine (src/scenario/engine, which
+ * also runs the --sweep saturation curves) and by any external driver
+ * that shapes its own traffic over ObliviousKvService. Arrival
  * instants accumulate in exact doubles so fixed-interval streams never
  * drift; every sampler draws from an explicitly seeded Rng, so a
  * traffic source is a pure function of (spec, seed) and merged

@@ -170,8 +170,8 @@ serviceConfigFor(const ScenarioSpec &spec,
         : 0.0;
     config.tenants = static_cast<unsigned>(spec.tenants.size());
     config.queueCapacity = spec.queueCapacity;
-    // The initial closed-loop burst must be admissible in full, as in
-    // the loadgen: a smaller queue would shed clients at tick 0.
+    // The initial closed-loop burst must be admissible in full: a
+    // smaller queue would shed clients at tick 0.
     std::uint64_t closed_total = 0;
     for (const TenantSpec &tenant : spec.tenants)
         if (tenant.closedLoop)
@@ -381,13 +381,17 @@ runOnce(const ScenarioSpec &spec, const ScenarioRunOptions &options,
     return true;
 }
 
+/** The smallest uniformity histogram: bins, and observations per bin. */
+constexpr std::size_t kMinBins = 8;
+constexpr std::size_t kMinPerBin = 8;
+
 /** Histogram bins for the uniformity test, scaled to the evidence so
  * sparse CI-sized traces keep ~8+ expected observations per bin. */
 std::size_t
 uniformityBins(std::size_t observations, std::uint64_t leaf_space)
 {
     std::size_t bins = 64;
-    while (bins > 8 && observations < bins * 8)
+    while (bins > kMinBins && observations < bins * kMinPerBin)
         bins /= 2;
     if (leaf_space < bins)
         bins = static_cast<std::size_t>(leaf_space);
@@ -503,16 +507,21 @@ runScenario(const ScenarioSpec &spec, const ScenarioRunOptions &options,
     outcome.jainSlowdown =
         options.isolation ? jainIndex(slowdowns) : 1.0;
 
-    // Security gates over the merged attacker view.
-    if (options.security) {
-        ScenarioSecurity &security = outcome.security;
-        security.evaluated = true;
-        security.leafObservations = shared.leaves.size();
+    // Security gates over the merged attacker view, evaluated only when
+    // the trace can fill the smallest uniformity histogram.
+    ScenarioSecurity &security = outcome.security;
+    security.requested = options.security;
+    security.leafObservations = shared.leaves.size();
+    security.evaluated = options.security
+        && shared.leaves.size() >= kMinBins * kMinPerBin
+        && shared.leafSpace >= kMinBins;
+    if (security.evaluated) {
         security.chiSquare = leafUniformity(
             shared.leaves, shared.leafSpace,
             uniformityBins(shared.leaves.size(), shared.leafSpace));
         security.serialCorrelation = serialCorrelation(shared.leaves);
-        security.attacker = fitAttackerModel(shared.metrics.samples);
+        if (!shared.metrics.samples.empty())
+            security.attacker = fitAttackerModel(shared.metrics.samples);
         security.miEvaluated = security.attacker.stashSamples >= 50
             && security.attacker.treeSamples >= 50;
         if (security.miEvaluated)
@@ -572,6 +581,10 @@ scenarioSanityCheck(const ScenarioOutcome &outcome,
         if (record.base.metrics.stashOverflowed)
             report(record.base.point.id + ": stash overflowed");
 
+    if (outcome.security.requested && !outcome.security.evaluated)
+        report(id + ": "
+               + std::to_string(outcome.security.leafObservations)
+               + " leaf observations, too few for the security gates");
     if (outcome.security.evaluated && !outcome.security.pass())
         report(id + ": merged-trace security gates failed");
     return clean;

@@ -72,6 +72,8 @@ struct TenantOutcome
 /** Security-gate results over the merged attacker-visible sequence. */
 struct ScenarioSecurity
 {
+    bool requested = false; ///< The run recorded its leaf trace.
+    /** The trace filled the smallest histogram and the gates ran. */
     bool evaluated = false;
     std::uint64_t leafObservations = 0;
     ChiSquareResult chiSquare{0.0, 0, 0.0, true};
@@ -152,7 +154,9 @@ bool runScenario(const ScenarioSpec &spec,
  * Scenario-level sanity gate: per-tenant accounting closes (accepted ==
  * completed after the drain, tenant sums match the global scope),
  * quantiles are ordered, the stash behaved, and the security gates
- * hold when they ran. Appends one line per problem; true when clean.
+ * hold when they ran. A requested gate that could not run for lack of
+ * leaf observations is a problem too. Appends one line per problem;
+ * true when clean.
  */
 bool scenarioSanityCheck(const ScenarioOutcome &outcome,
                          std::vector<std::string> *problems);

@@ -11,6 +11,7 @@
 
 #include "sim/json_value.hh"
 #include "sim/metrics_json.hh"
+#include "sim/protocol_registry.hh"
 
 namespace palermo {
 
@@ -26,6 +27,9 @@ fail(std::string *error, const std::string &message)
 
 /** Largest double that still holds every integer exactly. */
 constexpr double kMaxExactInteger = 9007199254740992.0; // 2^53
+
+/** Upper bound on one closed-loop tenant's outstanding requests. */
+constexpr std::uint64_t kMaxConcurrency = 1u << 20;
 
 bool
 toUnsigned(const JsonValue &value, std::uint64_t *out)
@@ -190,7 +194,7 @@ parseTenant(const JsonValue &value, const std::string &base_dir,
                                        "sources take a rate");
         std::uint64_t parsed = 0;
         if (!toUnsigned(*concurrency, &parsed) || parsed == 0
-            || parsed > 1u << 20)
+            || parsed > kMaxConcurrency)
             return fail(error,
                         where + ".concurrency: needs a positive count");
         tenant.concurrency = static_cast<unsigned>(parsed);
@@ -374,7 +378,49 @@ parseScenario(const std::string &text, const std::string &base_dir,
         spec.tenants.push_back(std::move(tenant));
     }
 
+    // The service splits the protocol's normalized block space into
+    // one equal slice per tenant; every slice needs at least one block.
+    SystemConfig system = SystemConfig::benchDefault();
+    if (spec.blocks)
+        system.protocol.numBlocks = spec.blocks;
+    const std::uint64_t blocks =
+        normalizedProtocolConfig(spec.protocol, system).protocol.numBlocks;
+    if (blocks < spec.tenants.size())
+        return fail(error, "scenario.blocks: " + std::to_string(blocks)
+                               + " protected blocks cannot give each of "
+                               + std::to_string(spec.tenants.size())
+                               + " tenants a slice");
+
     *out = std::move(spec);
+    return true;
+}
+
+bool
+scaledSpec(const ScenarioSpec &spec, double factor, ScenarioSpec *out,
+           std::string *error)
+{
+    ScenarioSpec scaled = spec;
+    scaled.name += "/load=" + jsonNumber(factor);
+    for (std::size_t i = 0; i < scaled.tenants.size(); ++i) {
+        TenantSpec &tenant = scaled.tenants[i];
+        tenant.rate *= factor;
+        for (RateCurve::Segment &segment : tenant.rateCurve)
+            segment.ratePerKilocycle *= factor;
+        if (!tenant.closedLoop)
+            continue;
+        const double concurrency = tenant.concurrency * factor;
+        if (concurrency < 1.0 || concurrency > kMaxConcurrency
+            || concurrency != std::floor(concurrency))
+            return fail(error, "tenants[" + std::to_string(i)
+                                   + "].concurrency: "
+                                   + std::to_string(tenant.concurrency)
+                                   + " x " + jsonNumber(factor) + " = "
+                                   + jsonNumber(concurrency)
+                                   + " is not a positive integer "
+                                     "count");
+        tenant.concurrency = static_cast<unsigned>(concurrency);
+    }
+    *out = std::move(scaled);
     return true;
 }
 

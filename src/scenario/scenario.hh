@@ -97,7 +97,9 @@ struct ScenarioSpec
 /**
  * Parse a scenario document. @p base_dir anchors relative trace paths
  * (pass the scenario file's directory). On failure returns false and
- * fills *error with a field-path diagnostic.
+ * fills *error with a field-path diagnostic; that includes a block
+ * space too small, after protocol normalization, to give every tenant
+ * its own slice.
  */
 bool parseScenario(const std::string &text, const std::string &base_dir,
                    ScenarioSpec *out, std::string *error);
@@ -108,6 +110,16 @@ bool loadScenarioFile(const std::string &path, ScenarioSpec *out,
 
 /** Render the canonical JSON form (ends with a newline). */
 std::string writeScenario(const ScenarioSpec &spec);
+
+/**
+ * One load-sweep step: a copy of @p spec with every open-loop rate
+ * (each rate-curve segment included) and every closed-loop concurrency
+ * multiplied by @p factor, and "/load=<factor>" appended to the name
+ * so the point ids of a sweep stay distinct. Fails with a field-path
+ * *error when a scaled concurrency is not a positive integer.
+ */
+bool scaledSpec(const ScenarioSpec &spec, double factor,
+                ScenarioSpec *out, std::string *error);
 
 const char *sourceKindName(SourceKind kind);
 

@@ -5,6 +5,9 @@
 
 #include "scenario/scenario_cli.hh"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -61,6 +64,82 @@ writeSecurityBlock(JsonWriter &w, const ScenarioSecurity &security)
     w.endObject();
 }
 
+/** Parse "F[,F...]": distinct, finite, positive load factors. */
+bool
+parseFactors(const std::string &text, std::vector<double> *factors)
+{
+    std::size_t start = 0;
+    for (;;) {
+        const std::size_t comma = text.find(',', start);
+        const char *begin = text.data() + start;
+        const char *end = text.data()
+            + (comma == std::string::npos ? text.size() : comma);
+        double factor = 0.0;
+        const auto parsed = std::from_chars(begin, end, factor);
+        if (begin == end || parsed.ec != std::errc() || parsed.ptr != end
+            || !std::isfinite(factor) || factor <= 0.0
+            || std::find(factors->begin(), factors->end(), factor)
+                != factors->end())
+            return false;
+        factors->push_back(factor);
+        if (comma == std::string::npos)
+            return true;
+        start = comma + 1;
+    }
+}
+
+/** One run's points: the shared run, then its isolation baselines.
+ * @p load, when set, is the sweep factor the run was scaled by. */
+void
+writeScenarioPoints(JsonWriter &w, const ScenarioOutcome &outcome,
+                    const double *load)
+{
+    MetricsJson::writeRecord(w, outcome.base, [&](JsonWriter &inner) {
+        inner.field("mode", "scenario");
+        inner.key("scenario").beginObject();
+        inner.field("name", outcome.spec.name);
+        if (load)
+            inner.field("load", *load);
+        inner.field("duration", outcome.spec.duration);
+        inner.field("tenant_count",
+                    static_cast<std::uint64_t>(
+                        outcome.tenants.size()));
+        inner.key("tenants").beginArray();
+        for (const TenantOutcome &tenant : outcome.tenants)
+            writeTenantBlock(inner, tenant);
+        inner.endArray();
+        inner.key("fairness").beginObject();
+        inner.field("jain_achieved", outcome.jainAchieved);
+        inner.field("jain_slowdown_p99", outcome.jainSlowdown);
+        inner.endObject();
+        inner.key("security");
+        writeSecurityBlock(inner, outcome.security);
+        inner.endObject();
+        inner.key("service");
+        writeServiceSnapshot(inner, outcome.service);
+    });
+    for (const IsolationRecord &record : outcome.isolationRuns) {
+        MetricsJson::writeRecord(
+            w, record.base, [&](JsonWriter &inner) {
+                inner.field("mode", "isolation");
+                inner.field("isolated_tenant", record.tenant);
+                inner.key("service");
+                writeServiceSnapshot(inner, record.service);
+            });
+    }
+}
+
+/** Worst p99 slowdown vs isolation (1 when no baseline ran). */
+double
+maxSlowdownP99(const ScenarioOutcome &outcome)
+{
+    double max_slowdown = 1.0;
+    for (const TenantOutcome &tenant : outcome.tenants)
+        if (tenant.isolated && tenant.slowdownP99 > max_slowdown)
+            max_slowdown = tenant.slowdownP99;
+    return max_slowdown;
+}
+
 } // namespace
 
 bool
@@ -97,6 +176,11 @@ parseScenarioCliArgs(int argc, const char *const *argv,
             if (!cursor.value(&value))
                 return fail(error, "--json needs a path (or '-')");
             result.jsonPath = value;
+        } else if (name == "--sweep") {
+            result.sweep.clear();
+            if (!cursor.value(&value) || !parseFactors(value, &result.sweep))
+                return fail(error, "--sweep needs distinct load factors "
+                                   "F[,F...], each > 0");
         } else if (!name.empty() && name.front() != '-') {
             if (!result.scenarioPath.empty())
                 return fail(error,
@@ -162,48 +246,43 @@ scenarioDocument(const ScenarioOutcome &outcome,
     w.beginObject();
     MetricsJson::writeHeader(w, tool);
     w.key("points").beginArray();
-    MetricsJson::writeRecord(w, outcome.base, [&](JsonWriter &inner) {
-        inner.field("mode", "scenario");
-        inner.key("scenario").beginObject();
-        inner.field("name", outcome.spec.name);
-        inner.field("duration", outcome.spec.duration);
-        inner.field("tenant_count",
-                    static_cast<std::uint64_t>(
-                        outcome.tenants.size()));
-        inner.key("tenants").beginArray();
-        for (const TenantOutcome &tenant : outcome.tenants)
-            writeTenantBlock(inner, tenant);
-        inner.endArray();
-        inner.key("fairness").beginObject();
-        inner.field("jain_achieved", outcome.jainAchieved);
-        inner.field("jain_slowdown_p99", outcome.jainSlowdown);
-        inner.endObject();
-        inner.key("security");
-        writeSecurityBlock(inner, outcome.security);
-        inner.endObject();
-        inner.key("service");
-        writeServiceSnapshot(inner, outcome.service);
-    });
-    for (const IsolationRecord &record : outcome.isolationRuns) {
-        MetricsJson::writeRecord(
-            w, record.base, [&](JsonWriter &inner) {
-                inner.field("mode", "isolation");
-                inner.field("isolated_tenant", record.tenant);
-                inner.key("service");
-                writeServiceSnapshot(inner, record.service);
-            });
-    }
+    writeScenarioPoints(w, outcome, nullptr);
     w.endArray();
-    double max_slowdown = 1.0;
-    for (const TenantOutcome &tenant : outcome.tenants)
-        if (tenant.isolated && tenant.slowdownP99 > max_slowdown)
-            max_slowdown = tenant.slowdownP99;
     MetricsJson::writeDerived(
         w, {
                {"achieved_per_kilocycle",
                 outcome.service.achievedPerKilocycle},
                {"jain_achieved", outcome.jainAchieved},
                {"jain_slowdown_p99", outcome.jainSlowdown},
+               {"max_slowdown_p99", maxSlowdownP99(outcome)},
+           });
+    w.endObject();
+    std::string text = w.str();
+    text.push_back('\n');
+    return text;
+}
+
+std::string
+scenarioSweepDocument(const std::vector<ScenarioOutcome> &outcomes,
+                      const std::vector<double> &factors,
+                      const std::string &tool)
+{
+    JsonWriter w;
+    w.beginObject();
+    MetricsJson::writeHeader(w, tool);
+    w.key("points").beginArray();
+    double max_achieved = 0.0;
+    double max_slowdown = 1.0;
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        writeScenarioPoints(w, outcomes[i], &factors[i]);
+        max_achieved = std::max(
+            max_achieved, outcomes[i].service.achievedPerKilocycle);
+        max_slowdown = std::max(max_slowdown, maxSlowdownP99(outcomes[i]));
+    }
+    w.endArray();
+    MetricsJson::writeDerived(
+        w, {
+               {"max_achieved_per_kilocycle", max_achieved},
                {"max_slowdown_p99", max_slowdown},
            });
     w.endObject();
@@ -230,6 +309,11 @@ scenarioUsage()
           "positionally)\n"
        << "  --json PATH         palermo-metrics-v1 output "
           "('-' = stdout)\n"
+       << "  --sweep F[,F..]     run once per load factor F: open-loop "
+          "rates\n"
+       << "                      and closed-loop concurrencies times F "
+          "(one\n"
+       << "                      point id .../load=F per factor)\n"
        << "  --sim-threads N     threads stepping each session\n"
        << "                      (byte-identical to serial; "
           "default: 1)\n"
@@ -241,9 +325,11 @@ scenarioUsage()
           "exit\n"
        << "  --help              this text\n"
        << "\n"
-       << "example:\n"
+       << "examples:\n"
        << "  palermo_scenario tools/scenarios/bursty-neighbor.json \\\n"
-       << "      --json out.json\n";
+       << "      --json out.json\n"
+       << "  palermo_scenario tools/scenarios/saturation-open.json \\\n"
+       << "      --sweep 1,2,3,4,5,6 --no-isolation --json curve.json\n";
     return os.str();
 }
 

@@ -3,13 +3,15 @@
  * Scenario driver plumbing shared by tools/palermo_scenario and
  * palermo_replay's --scenario mode (and unit-tested like run_cli):
  * flag parsing, the human-readable per-tenant table, and the
- * palermo-metrics-v1 document with the per-tenant "scenario" block.
+ * palermo-metrics-v1 document with the per-tenant "scenario" block,
+ * for one run or for a --sweep of load factors.
  */
 
 #ifndef PALERMO_SCENARIO_SCENARIO_CLI_HH
 #define PALERMO_SCENARIO_SCENARIO_CLI_HH
 
 #include <string>
+#include <vector>
 
 #include "scenario/engine.hh"
 
@@ -20,6 +22,8 @@ struct ScenarioCliOptions
 {
     std::string scenarioPath;   ///< Positional or --scenario FILE.
     std::string jsonPath;       ///< --json PATH ("-" = stdout).
+    /** --sweep F,F,...: one run per load factor (see scaledSpec). */
+    std::vector<double> sweep;
     unsigned simThreads = 1;    ///< --sim-threads N per session.
     bool noIsolation = false;   ///< --no-isolation: skip baselines.
     bool noSecurity = false;    ///< --no-security: skip the gates.
@@ -57,6 +61,17 @@ std::string scenarioTable(const ScenarioOutcome &outcome);
  */
 std::string scenarioDocument(const ScenarioOutcome &outcome,
                              const std::string &tool);
+
+/**
+ * Render a load sweep, @p outcomes[i] run at @p factors[i]: each
+ * factor's shared run (its "scenario" block gains "load") followed by
+ * its isolation points, with the sweep's capacity,
+ * max_achieved_per_kilocycle, and worst max_slowdown_p99 under
+ * "derived".
+ */
+std::string scenarioSweepDocument(
+    const std::vector<ScenarioOutcome> &outcomes,
+    const std::vector<double> &factors, const std::string &tool);
 
 } // namespace palermo
 

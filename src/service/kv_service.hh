@@ -56,7 +56,8 @@ struct ServiceConfig
      * Completions before the measurement boundary: service statistics
      * reset exactly when the Nth response lands. 0 measures from the
      * first cycle. Size system.totalRequests/warmupFraction so the
-     * session's internal warmup agrees (the loadgen does this).
+     * session's internal warmup agrees (the scenario engine does
+     * this).
      */
     std::uint64_t warmupCompletions = 0;
 };

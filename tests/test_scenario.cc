@@ -187,6 +187,23 @@ TEST(ScenarioTest, RejectsMalformedStructure)
         "");
 }
 
+TEST(ScenarioTest, RejectsTooFewBlocksForTheTenants)
+{
+    const std::string tenants =
+        R"("tenants": [{"name": "a", "rate": 1.0}, )"
+        R"({"name": "b", "rate": 1.0}, {"name": "c", "rate": 1.0}, )"
+        R"({"name": "d", "rate": 1.0}]})";
+    // Three blocks cannot be split into four tenant slices.
+    expectRejects(R"({"name": "b3", "blocks": 3, "duration": 2000, )"
+                      + tenants,
+                  "scenario.blocks:");
+    ScenarioSpec spec;
+    std::string error;
+    EXPECT_TRUE(parseScenario(R"({"name": "b4", "blocks": 4, )" + tenants,
+                              ".", &spec, &error))
+        << error;
+}
+
 TEST(ScenarioTest, MutationFuzzNeverCrashes)
 {
     ScenarioSpec spec;
@@ -213,8 +230,9 @@ TEST(ScenarioTest, MutationFuzzNeverCrashes)
             alphabet[rng.range(sizeof(alphabet) - 1)];
         ScenarioSpec out;
         std::string err;
-        if (!parseScenario(mutated, ".", &out, &err))
+        if (!parseScenario(mutated, ".", &out, &err)) {
             EXPECT_FALSE(err.empty());
+        }
     }
 }
 

@@ -82,6 +82,29 @@ TEST(ScenarioEngineTest, AccountingInvariantsHold)
         << (problems.empty() ? "" : problems.front());
 }
 
+TEST(ScenarioEngineTest, SanityGateCatchesLostRequests)
+{
+    ScenarioOutcome outcome;
+    std::string error;
+    ASSERT_TRUE(runScenario(smallSpec(), fastOptions(), &outcome,
+                            &error))
+        << error;
+
+    outcome.service.global.accepted += 1; // Simulate a lost request.
+    std::vector<std::string> problems;
+    EXPECT_FALSE(scenarioSanityCheck(outcome, &problems));
+    std::size_t lost = 0;
+    std::size_t sums = 0;
+    for (const std::string &problem : problems) {
+        lost += problem.find("lost requests") != std::string::npos;
+        sums += problem.find("per-tenant sums") != std::string::npos;
+    }
+    EXPECT_EQ(lost, 1u);
+    // The tenant scopes no longer add up to the bumped global counter.
+    EXPECT_EQ(sums, 1u);
+    EXPECT_EQ(problems.size(), 2u);
+}
+
 TEST(ScenarioEngineTest, DocumentBytesIdenticalAcrossSimThreads)
 {
     const ScenarioSpec spec = smallSpec();

@@ -4,12 +4,15 @@
  * like fresh uniform draws regardless of which tenant produced each
  * access — chi-square uniformity and bounded lag-1 correlation for
  * both the Palermo and Path ORAM protocols, plus the Equation-1
- * mutual-information gate when enough samples accumulate.
+ * mutual-information gate when enough samples accumulate. Runs too
+ * short or trees too small to fill a histogram skip the gates and
+ * fail the sanity check instead.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "scenario/engine.hh"
 #include "scenario/scenario.hh"
@@ -77,9 +80,10 @@ expectGatesPass(ProtocolKind protocol)
         << security.chiSquare.threshold;
     EXPECT_LE(security.serialCorrelation, security.correlationBound());
     EXPECT_GE(security.serialCorrelation, -security.correlationBound());
-    if (security.miEvaluated)
+    if (security.miEvaluated) {
         EXPECT_LE(security.mutualInformationBits,
                   ScenarioSecurity::kMiBound);
+    }
     EXPECT_TRUE(security.pass());
 }
 
@@ -105,6 +109,51 @@ TEST(ScenarioSecurityTest, SkippingSecurityLeavesGateUnevaluated)
         << error;
     EXPECT_FALSE(outcome.security.evaluated);
     EXPECT_TRUE(outcome.security.pass());
+}
+
+/** Run a one-tenant scenario with the gates on; too short or too small
+ * to fill the smallest histogram, so the gates must not run and the
+ * sanity check must say why. */
+void
+expectTooFewObservations(std::uint64_t blocks, std::uint64_t duration)
+{
+    ScenarioSpec spec;
+    spec.name = "tiny";
+    spec.blocks = blocks;
+    spec.duration = duration;
+    TenantSpec tenant;
+    tenant.name = "a";
+    tenant.rate = 1.0;
+    spec.tenants.push_back(tenant);
+
+    ScenarioOutcome outcome;
+    std::string error;
+    ASSERT_TRUE(runScenario(spec, securityOnly(), &outcome, &error))
+        << error;
+    EXPECT_TRUE(outcome.security.requested);
+    EXPECT_FALSE(outcome.security.evaluated);
+
+    std::vector<std::string> problems;
+    EXPECT_FALSE(scenarioSanityCheck(outcome, &problems));
+    bool reported = false;
+    for (const std::string &problem : problems)
+        reported = reported
+            || problem.find("leaf observations, too few for the "
+                            "security gates")
+                != std::string::npos;
+    EXPECT_TRUE(reported) << "blocks=" << blocks
+                          << " duration=" << duration;
+}
+
+TEST(ScenarioSecurityTest, ShortRunSkipsGatesAndFailsSanity)
+{
+    expectTooFewObservations(4096, 2000);
+}
+
+TEST(ScenarioSecurityTest, TinyTreeSkipsGatesAndFailsSanity)
+{
+    for (std::uint64_t blocks : {1u, 2u, 16u})
+        expectTooFewObservations(blocks, 100000);
 }
 
 TEST(ScenarioSecurityTest, CorrelationBoundWidensForShortRuns)

@@ -10,6 +10,12 @@
  * interference, and the uniformity/mutual-information security gates
  * on the merged attacker-visible leaf sequence.
  *
+ * --sweep F1,F2,... turns the scenario into a load sweep: one run per
+ * factor, with every open-loop rate and closed-loop concurrency scaled
+ * by it, rendered as one document. A sweep over a saturation scenario
+ * (tools/scenarios/saturation-*.json) is the throughput-vs-latency
+ * curve, with every point's whole trace through the security gates.
+ *
  * Exit status: 0 on success, 1 on engine/sanity/security or I/O
  * failure, 2 on usage/scenario-format errors.
  */
@@ -61,23 +67,48 @@ main(int argc, char **argv)
         return 2;
     }
 
-    ScenarioOutcome outcome;
-    if (!runScenario(spec, options.runOptions(), &outcome, &error)) {
-        std::fprintf(stderr, "palermo_scenario: %s\n", error.c_str());
-        return 1;
+    // A sweep runs one scaled copy of the spec per load factor; every
+    // copy is checked before the first one runs.
+    std::vector<ScenarioSpec> runs;
+    if (options.sweep.empty())
+        runs.push_back(spec);
+    for (double factor : options.sweep) {
+        ScenarioSpec scaled;
+        if (!scaledSpec(spec, factor, &scaled, &error)) {
+            std::fprintf(stderr, "palermo_scenario: %s: %s\n",
+                         options.scenarioPath.c_str(), error.c_str());
+            return 2;
+        }
+        runs.push_back(std::move(scaled));
     }
 
     std::FILE *table = options.jsonPath == "-" ? stderr : stdout;
-    std::fputs(scenarioTable(outcome).c_str(), table);
+    std::vector<ScenarioOutcome> outcomes;
+    for (const ScenarioSpec &run : runs) {
+        ScenarioOutcome outcome;
+        if (!runScenario(run, options.runOptions(), &outcome, &error)) {
+            std::fprintf(stderr, "palermo_scenario: %s\n", error.c_str());
+            return 1;
+        }
+        if (!options.sweep.empty())
+            std::fprintf(table, "== %s\n", outcome.base.point.id.c_str());
+        std::fputs(scenarioTable(outcome).c_str(), table);
+        outcomes.push_back(std::move(outcome));
+    }
 
     bool ok = true;
     if (!options.jsonPath.empty())
         ok = MetricsJson::writeFile(
             options.jsonPath,
-            scenarioDocument(outcome, "palermo_scenario"));
+            options.sweep.empty()
+                ? scenarioDocument(outcomes.front(), "palermo_scenario")
+                : scenarioSweepDocument(outcomes, options.sweep,
+                                        "palermo_scenario"));
 
-    std::vector<std::string> problems;
-    if (!scenarioSanityCheck(outcome, &problems)) {
+    for (const ScenarioOutcome &outcome : outcomes) {
+        std::vector<std::string> problems;
+        if (scenarioSanityCheck(outcome, &problems))
+            continue;
         ok = false;
         for (const std::string &problem : problems)
             std::fprintf(stderr, "palermo_scenario: SANITY: %s\n",
