@@ -22,6 +22,7 @@
 #include "common/flat_map.hh"
 #include "common/pool.hh"
 #include "common/types.hh"
+#include "oram/node_meta.hh"
 #include "oram/oram_params.hh"
 #include "oram/plan.hh"
 #include "oram/posmap.hh"
@@ -91,19 +92,28 @@ struct ProtocolConfig
  */
 unsigned cachedLevelsFor(const OramParams &params, std::uint64_t bytes);
 
-/** Largest space the constructors will bulk-load eagerly. */
+/**
+ * Largest space the constructors will bulk-load eagerly. A prefilled
+ * tree reserves host capacity for all of its buckets (TreeStore's
+ * reservation rule); above this, trees start empty and grow lazily.
+ */
 constexpr std::uint64_t kPrefillLimit = 1ull << 22;
 
 /**
- * Bulk-load an engine's tree: plant every block on its current posmap
- * path, modeling a pre-existing protected dataset.
+ * Bulk-load an engine's tree, modeling a pre-existing protected
+ * dataset: the start state is every block, in id order, in the deepest
+ * non-full bucket of its posmap leaf's residence set, with the rest in
+ * the stash in id order. TreeStore::prefill builds it level by level
+ * (a few passes per tree, not one path walk per block); its file
+ * comment gives the argument that the result is identical.
  */
 template <typename Engine>
 void
 prefillEngine(Engine &engine, const PosMap &posmap)
 {
-    for (BlockId block = 0; block < engine.params().numBlocks; ++block)
-        engine.plant(block, posmap.get(block));
+    for (const BlockContent &spill :
+         engine.tree().prefill(posmap, engine.siblingMode()))
+        engine.stash().put(spill.block, spill.leaf, spill.payload);
 }
 
 /**

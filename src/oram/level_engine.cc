@@ -260,19 +260,6 @@ RingEngine::accessInto(BlockId block, Leaf leaf, Leaf new_leaf,
     }
 }
 
-void
-RingEngine::plant(BlockId block, Leaf leaf, std::uint64_t payload)
-{
-    palermo_assert(block < params_.numBlocks);
-    palermo_assert(leaf < params_.numLeaves);
-    const std::vector<NodeId> path = params_.pathNodes(leaf);
-    for (auto it = path.rbegin(); it != path.rend(); ++it) {
-        if (tree_.node(*it).tryPlace({block, payload, leaf}))
-            return;
-    }
-    stash_.put(block, leaf, payload);
-}
-
 std::uint64_t
 RingEngine::payloadOf(BlockId block) const
 {

@@ -84,12 +84,6 @@ class RingEngine
     void accessInto(BlockId block, Leaf leaf, Leaf new_leaf,
                     LevelPlan *plan);
 
-    /**
-     * Bulk-load one block during initial ORAM construction: place it as
-     * deep as possible on its assigned path (stash as last resort).
-     */
-    void plant(BlockId block, Leaf leaf, std::uint64_t payload = 0);
-
     /** Read a stashed block's payload (valid right after access()). */
     std::uint64_t payloadOf(BlockId block) const;
 
@@ -107,6 +101,9 @@ class RingEngine
     const OramParams &params() const { return params_; }
     unsigned cachedLevels() const { return cachedLevels_; }
     const EngineStats &stats() const { return stats_; }
+
+    /** RingORAM residence is the path alone (no PageORAM siblings). */
+    bool siblingMode() const { return false; }
 
     /**
      * Verify the RingORAM invariant for a block: it lies on the path

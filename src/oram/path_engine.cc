@@ -245,25 +245,6 @@ PathEngine::dummyAccessInto(Leaf leaf, LevelPlan *plan)
     runInto(kInvalid, leaf, leaf, true, nullptr, plan);
 }
 
-void
-PathEngine::plant(BlockId block, Leaf leaf, std::uint64_t payload)
-{
-    palermo_assert(block < params_.numBlocks);
-    palermo_assert(leaf < params_.numLeaves);
-    const std::vector<NodeId> path = params_.pathNodes(leaf);
-    for (auto it = path.rbegin(); it != path.rend(); ++it) {
-        if (tree_.node(*it).tryPlace({block, payload, leaf}))
-            return;
-        if (siblingMode_ && *it != 0) {
-            const NodeId sibling =
-                (*it % 2 == 1) ? *it + 1 : *it - 1;
-            if (tree_.node(sibling).tryPlace({block, payload, leaf}))
-                return;
-        }
-    }
-    stash_.put(block, leaf, payload);
-}
-
 std::uint64_t
 PathEngine::payloadOf(BlockId block) const
 {

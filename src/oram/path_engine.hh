@@ -90,12 +90,6 @@ class PathEngine
     /** dummyAccess() into a recycled plan (resets it first). */
     void dummyAccessInto(Leaf leaf, LevelPlan *plan);
 
-    /**
-     * Bulk-load one block during initial ORAM construction: place it as
-     * deep as possible within its residence set (stash as last resort).
-     */
-    void plant(BlockId block, Leaf leaf, std::uint64_t payload = 0);
-
     std::uint64_t payloadOf(BlockId block) const;
     void setPayload(BlockId block, std::uint64_t value);
     bool inStash(BlockId block) const { return stash_.contains(block); }
@@ -108,6 +102,9 @@ class PathEngine
     const OramParams &params() const { return params_; }
     unsigned cachedLevels() const { return cachedLevels_; }
     const PathEngineStats &stats() const { return stats_; }
+
+    /** True for PageORAM's sibling residence extension. */
+    bool siblingMode() const { return siblingMode_; }
 
     /**
      * Verify the residence invariant: the block is in the stash or in a

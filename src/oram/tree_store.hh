@@ -25,6 +25,27 @@
  *
  * Bucket state is exposed through Bucket / ConstBucket views (plain
  * {store, index} pairs) that carry the old NodeMeta member API.
+ *
+ * Bulk load (prefill): the start state of a prefilled tree is the one a
+ * per-block greedy loop produces — blocks in id order, each placed in
+ * the deepest non-full bucket on its leaf's path (PageORAM: the path
+ * bucket, then its sibling, level by level), leftovers to the stash.
+ * prefill() builds that state level by level instead: fill the leaves
+ * in block-id order, then walk only the overflow upward, one pass per
+ * level, still in block-id order; what climbs past the root goes to the
+ * stash in that order. This is slot-for-slot identical because the
+ * blocks that reach a bucket (or sibling pair), and the order they
+ * arrive in, depend only on the levels below it: a block reaches level
+ * L exactly when every bucket it tried below was already full, and
+ * each pass visits the blocks of its level in id order. Every bucket
+ * the greedy loop would try is materialized, so the touched set matches
+ * too.
+ *
+ * Reservation rule: prefill() reserves capacity for every bucket of the
+ * tree before it starts. The reservation is address space only — pages
+ * are touched as buckets materialize — and it means no later run-time
+ * materialization reallocates (and so double-copies) the slot arrays.
+ * Lazily built trees (no prefill) grow on demand as before.
  */
 
 #ifndef PALERMO_ORAM_TREE_STORE_HH
@@ -42,6 +63,8 @@
 #include "oram/oram_params.hh"
 
 namespace palermo {
+
+class PosMap;
 
 /** Container of materialized bucket states for one ORAM tree. */
 class TreeStore
@@ -210,11 +233,22 @@ class TreeStore
             store_->accessed_[index_] = 0;
         }
 
+        /** Raw state of one slot: block word (an id or a slot
+         *  sentinel), payload and leaf. */
+        BlockContent
+        slot(unsigned i) const
+        {
+            palermo_assert(i < slots());
+            const std::uint64_t at = store_->slotBase_[index_] + i;
+            return {store_->slotBlock_[at], store_->slotPayload_[at],
+                    store_->slotLeaf_[at]};
+        }
+
         /**
-         * Bulk-load: place one block into a free dummy slot if the
-         * bucket still has real capacity. Used only for initial ORAM
-         * construction (the protocol itself always rebuilds whole
-         * buckets).
+         * Place one block into the first free dummy slot if the bucket
+         * still has real capacity: the per-block placement step that
+         * prefill() reproduces in bulk (the protocol itself always
+         * rebuilds whole buckets).
          * @return true if placed.
          */
         bool
@@ -288,6 +322,7 @@ class TreeStore
         unsigned validRealCount() const { return view().validRealCount(); }
         int slotOf(BlockId block) const { return view().slotOf(block); }
         bool needsReset() const { return view().needsReset(); }
+        BlockContent slot(unsigned i) const { return view().slot(i); }
 
       private:
         Bucket
@@ -330,6 +365,17 @@ class TreeStore
 
     /** Count valid real blocks across materialized buckets. */
     std::uint64_t totalValidBlocks() const;
+
+    /**
+     * Bulk-load a never-touched tree with blocks [0, numBlocks), each
+     * on its position-map leaf with payload 0 (see the file comment for
+     * the level-wise order and the reservation rule).
+     * @param siblings PageORAM residence: a block that finds its path
+     *        bucket full tries that bucket's sibling before climbing.
+     * @return Blocks that fit in no bucket, in block-id order; the
+     *         caller stashes them.
+     */
+    std::vector<BlockContent> prefill(const PosMap &posmap, bool siblings);
 
     const OramParams &params() const { return params_; }
 

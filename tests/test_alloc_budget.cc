@@ -21,6 +21,7 @@
 
 #include "common/alloc_count.hh"
 #include "common/rng.hh"
+#include "oram/palermo.hh"
 #include "service/kv_service.hh"
 #include "sim/experiment.hh"
 #include "sim/protocol_registry.hh"
@@ -163,6 +164,21 @@ TEST(AllocBudget, ServedClosedLoopStaysPooled)
     // of the pooled simulator: admission and in-flight FIFOs recycle
     // their deque chunks through session-lifetime pools.
     EXPECT_LE(servedClosedLoopAllocsPerRequest(), 2.0);
+}
+
+TEST(AllocBudget, PrefillAllocatesPerTreeNotPerBlock)
+{
+    // Constructing a prefilled hierarchy costs O(levels) allocations
+    // per tree (reservations, per-level scratch, overflow-list growth),
+    // not one or more per block as a per-block path walk did.
+    ProtocolConfig config;
+    config.numBlocks = 1ull << 18;
+    const unsigned long long before = heapAllocationCount();
+    const PalermoOram oram(config);
+    const unsigned long long allocs = heapAllocationCount() - before;
+    std::printf("prefilled 2^18-block Palermo: %llu allocs\n", allocs);
+    EXPECT_EQ(oram.numBlocks(), config.numBlocks);
+    EXPECT_LE(allocs, 256u);
 }
 
 TEST(AllocBudget, CounterCountsThisBinary)

@@ -116,8 +116,9 @@ TEST(FlatMapTest, EraseByIteratorCompactsChain)
     EXPECT_EQ(map.size(), 63u);
     EXPECT_FALSE(map.contains(17));
     for (std::uint64_t i = 0; i < 64; ++i) {
-        if (i != 17)
+        if (i != 17) {
             EXPECT_TRUE(map.contains(i)) << i;
+        }
     }
 }
 

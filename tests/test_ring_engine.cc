@@ -186,8 +186,9 @@ TEST(RingEngine, PreModeResetsEarlier)
     for (int i = 0; i < 200; ++i)
         h.access(static_cast<BlockId>(i % 64));
     for (NodeId node = 0; node < h.params.numNodes; ++node) {
-        if (const auto meta = h.engine.tree().peek(node))
+        if (const auto meta = h.engine.tree().peek(node)) {
             EXPECT_LT(meta.accessed(), h.params.s);
+        }
     }
 }
 
