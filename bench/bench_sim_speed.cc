@@ -23,7 +23,8 @@
  *
  * Unlike the figure benches this document embeds wall-clock times, so
  * it is NOT byte-deterministic; tools/perf_compare knows which fields
- * to compare exactly and which with tolerance.
+ * to compare exactly and which with tolerance. Its generator object
+ * names the host (core count and CPU model) the times came from.
  */
 
 #include <chrono>
@@ -406,8 +407,9 @@ main(int argc, char **argv)
 
     bool ok = true;
     if (!options.jsonPath.empty()) {
-        const std::string doc =
-            MetricsJson::document("bench_sim_speed", records, derived);
+        const HostInfo host = HostInfo::probe();
+        const std::string doc = MetricsJson::document(
+            "bench_sim_speed", records, derived, &host);
         ok = MetricsJson::writeFile(options.jsonPath, doc);
         if (!ok)
             std::fprintf(stderr,

@@ -1,7 +1,8 @@
 /**
  * @file
  * FR-FCFS scheduling, write-drain hysteresis, tRRD/tFAW windows,
- * CAS-to-CAS gating, and refresh for one DDR4 channel.
+ * CAS-to-CAS gating, refresh, and the wake-tick / event-to-event
+ * advancement for one DDR4 channel.
  */
 
 #include "mem/channel.hh"
@@ -33,16 +34,17 @@ Channel::Channel(const DramOrg &org, const DramTiming &timing,
                  unsigned queue_depth)
     : org_(org), timing_(timing), queueDepth_(queue_depth),
       banks_(org.banksPerChannel()),
-      readQueue_(PoolAllocator<Entry>(&pool_)),
-      writeQueue_(PoolAllocator<Entry>(&pool_)),
       rowWant_(&pool_),
       openRowWant_(org.banksPerChannel(), 0),
       bankWant_(org.banksPerChannel(), 0),
       actWindow_(PoolAllocator<Tick>(&pool_)),
       nextRefresh_(timing.tREFI),
       drainHigh_(std::max(2u, queue_depth * 3 / 4)),
-      drainLow_(std::max(1u, queue_depth / 4))
+      drainLow_(std::max(1u, queue_depth / 4)),
+      beats_(PoolAllocator<Beat>(&pool_))
 {
+    readQueue_.reserve(queue_depth);
+    writeQueue_.reserve(queue_depth);
 }
 
 bool
@@ -53,7 +55,7 @@ Channel::canEnqueue(bool is_write) const
 }
 
 void
-Channel::trackEnqueue(const Entry &e)
+Channel::trackEnqueue(const Entry &e, bool is_write)
 {
     ++rowWant_[rowKey(e.flatBank, e.dec.row)];
     ++bankWant_[e.flatBank];
@@ -65,6 +67,8 @@ Channel::trackEnqueue(const Entry &e)
         ++rowHitWant_;
     }
     resetScanMemos();
+    // Only the new entry can make a command issue earlier.
+    wakeAt_ = std::min(wakeAt_, entryReadyAt(e, is_write));
 }
 
 void
@@ -94,6 +98,7 @@ Channel::closeRow(std::size_t flat_bank, Tick now)
     openRowWant_[flat_bank] = 0;
     closedBankWant_ += bankWant_[flat_bank];
     resetScanMemos();
+    wakeAt_ = 0;
 }
 
 bool
@@ -113,7 +118,7 @@ Channel::enqueue(const DecodedAddr &dec, bool is_write, std::uint64_t tag,
         if (writeQueue_.size() >= queueDepth_)
             return false;
         writeQueue_.push_back({dec, tag, now, flat_bank});
-        trackEnqueue(writeQueue_.back());
+        trackEnqueue(writeQueue_.back(), true);
         stats_.writes.inc();
         return true;
     }
@@ -136,8 +141,35 @@ Channel::enqueue(const DecodedAddr &dec, bool is_write, std::uint64_t tag,
     if (readQueue_.size() >= queueDepth_)
         return false;
     readQueue_.push_back({dec, tag, now, flat_bank});
-    trackEnqueue(readQueue_.back());
+    trackEnqueue(readQueue_.back(), false);
     return true;
+}
+
+bool
+Channel::nextWriteMode() const
+{
+    if (!writeMode_) {
+        return writeQueue_.size() >= drainHigh_
+            || (readQueue_.empty() && !writeQueue_.empty());
+    }
+    return !(writeQueue_.size() <= drainLow_
+             || (writeQueue_.empty() && !readQueue_.empty()));
+}
+
+void
+Channel::retireBeats(Tick now)
+{
+    while (!beats_.empty() && beats_.front().end <= now)
+        beats_.pop_front();
+    busActiveNow_ = !beats_.empty() && beats_.front().start <= now;
+}
+
+Tick
+Channel::nextBusEdge() const
+{
+    if (beats_.empty())
+        return kInvalid;
+    return busActiveNow_ ? beats_.front().end : beats_.front().start;
 }
 
 void
@@ -147,12 +179,7 @@ Channel::tick(Tick now)
     stats_.queueOccupancy.accumulate(
         static_cast<double>(occupancy()), 1);
 
-    // Retire due bus events to maintain the instantaneous activity flag.
-    while (!busEvents_.empty() && busEvents_.top().tick <= now) {
-        activeTransfers_ += busEvents_.top().delta;
-        busEvents_.pop();
-    }
-    busActiveNow_ = activeTransfers_ > 0;
+    retireBeats(now);
     if (busActiveNow_)
         stats_.busBusyTicks.inc();
 
@@ -161,35 +188,51 @@ Channel::tick(Tick now)
         return;
     }
 
-    // Write drain hysteresis.
-    if (!writeMode_) {
-        if (writeQueue_.size() >= drainHigh_
-            || (readQueue_.empty() && !writeQueue_.empty())) {
-            writeMode_ = true;
-        }
-    } else {
-        if (writeQueue_.size() <= drainLow_
-            || (writeQueue_.empty() && !readQueue_.empty())) {
-            writeMode_ = false;
-        }
-    }
+    writeMode_ = nextWriteMode();
+    if (now < wakeAt_)
+        return;
 
+    Tick wake = kInvalid;
+    bool issued;
     if (writeMode_) {
-        if (!trySchedule(now, writeQueue_, true))
-            trySchedule(now, readQueue_, false);
+        issued = trySchedule(now, writeQueue_, true, &wake)
+            || trySchedule(now, readQueue_, false, &wake);
     } else {
-        if (!trySchedule(now, readQueue_, false))
-            trySchedule(now, writeQueue_, true);
+        issued = trySchedule(now, readQueue_, false, &wake)
+            || trySchedule(now, writeQueue_, true, &wake);
     }
+    // A command may have moved any bound: scan again next tick.
+    wakeAt_ = issued ? 0 : wake;
 }
 
 std::uint64_t
 Channel::tickWindow(Tick now, std::uint64_t cycles)
 {
     std::uint64_t integral = 0;
-    for (std::uint64_t i = 0; i < cycles; ++i) {
-        tick(now + i);
+    const Tick end = now + cycles;
+    while (now < end) {
+        // A quiet span [now, stop): no command can issue, no refresh is
+        // due, the bus keeps its state and the drain mode is stable.
+        // Occupancy is constant across it, so one step accounts it.
+        retireBeats(now);
+        const Tick stop =
+            std::min({end, wakeAt_, nextRefresh_, nextBusEdge()});
+        if (stop > now && !refreshPending_
+            && nextWriteMode() == writeMode_) {
+            const std::uint64_t span = stop - now;
+            const std::size_t occ = occupancy();
+            stats_.totalTicks.inc(span);
+            stats_.queueOccupancy.accumulate(static_cast<double>(occ),
+                                             span);
+            if (busActiveNow_)
+                stats_.busBusyTicks.inc(span);
+            integral += occ * span;
+            now = stop;
+            continue;
+        }
+        tick(now);
         integral += occupancy();
+        ++now;
     }
     return integral;
 }
@@ -216,6 +259,7 @@ Channel::handleRefresh(Tick now)
     stats_.refreshes.inc();
     refreshPending_ = false;
     nextRefresh_ = now + timing_.tREFI;
+    wakeAt_ = 0;
 }
 
 bool
@@ -229,60 +273,74 @@ Channel::rowWanted(std::uint64_t flat_bank, std::uint64_t row) const
     return rowWant_.contains(rowKey(flat_bank, row));
 }
 
-bool
-Channel::casTimingOk(Tick now, const Entry &e, bool is_write) const
+Tick
+Channel::casGateAt(bool is_write) const
 {
-    const Bank &bank = banks_[e.flatBank];
-    if (!bank.isOpen() || bank.openRow() != e.dec.row)
-        return false;
-    if (!bank.canColumn(now, is_write))
-        return false;
+    Tick at = 0;
+    if (lastCasValid_)
+        at = lastCas_ + std::min(timing_.tCCD_L, timing_.tCCD_S);
+    const Tick cas_lat = is_write ? timing_.tCWL : timing_.tCL;
+    if (busFreeAt_ > cas_lat)
+        at = std::max(at, busFreeAt_ - cas_lat);
+    return at;
+}
+
+Tick
+Channel::casReadyAt(const Entry &e, bool is_write) const
+{
+    Tick at = banks_[e.flatBank].nextColumnAt(is_write);
     // CAS-to-CAS spacing.
     if (lastCasValid_) {
         const unsigned gap = (e.dec.bankGroup == lastCasBankGroup_)
             ? timing_.tCCD_L : timing_.tCCD_S;
-        if (now < lastCas_ + gap)
-            return false;
+        at = std::max(at, lastCas_ + gap);
     }
     // Write-to-read turnaround.
     if (!is_write && lastWriteValid_) {
         const unsigned wtr = (e.dec.bankGroup == lastWriteBankGroup_)
             ? timing_.tWTR_L : timing_.tWTR_S;
-        if (now < lastWriteDataEnd_ + wtr)
-            return false;
+        at = std::max(at, lastWriteDataEnd_ + wtr);
     }
     // Data bus must be free when this burst would start.
-    const Tick data_start = now + (is_write ? timing_.tCWL : timing_.tCL);
-    if (data_start < busFreeAt_)
-        return false;
-    return true;
+    const Tick cas_lat = is_write ? timing_.tCWL : timing_.tCL;
+    if (busFreeAt_ > cas_lat)
+        at = std::max(at, busFreeAt_ - cas_lat);
+    return at;
 }
 
-bool
-Channel::actTimingOk(Tick now, const Entry &e) const
+Tick
+Channel::actGateAt() const
 {
-    // tRRD_S and tFAW are entry-independent; tryActivate checks them
-    // once before scanning.
+    Tick at = 0;
+    if (lastActValid_)
+        at = lastAct_ + timing_.tRRD_S;
+    if (actWindow_.size() >= 4)
+        at = std::max(at, actWindow_.front() + timing_.tFAW);
+    return at;
+}
+
+Tick
+Channel::actReadyAt(const Entry &e) const
+{
+    Tick at = banks_[e.flatBank].nextActAt();
+    if (lastActValid_ && e.dec.bankGroup == lastActBankGroup_)
+        at = std::max(at, lastAct_ + timing_.tRRD_L);
+    return at;
+}
+
+Tick
+Channel::entryReadyAt(const Entry &e, bool is_write) const
+{
     const Bank &bank = banks_[e.flatBank];
-    if (!bank.canActivate(now))
-        return false;
-    if (lastActValid_ && e.dec.bankGroup == lastActBankGroup_
-        && now < lastAct_ + timing_.tRRD_L) {
-        return false;
-    }
-    return true;
+    if (!bank.isOpen())
+        return std::max(actGateAt(), actReadyAt(e));
+    if (bank.openRow() == e.dec.row)
+        return casReadyAt(e, is_write);
+    return bank.nextPreAt();
 }
 
 void
-Channel::scheduleBusBeat(Tick start, Tick end)
-{
-    busEvents_.push({start, +1});
-    busEvents_.push({end, -1});
-    busFreeAt_ = end;
-}
-
-void
-Channel::recordCas(Tick now, Entry &e, bool is_write)
+Channel::recordCas(Tick now, const Entry &e, bool is_write)
 {
     lastCas_ = now;
     lastCasBankGroup_ = e.dec.bankGroup;
@@ -290,7 +348,8 @@ Channel::recordCas(Tick now, Entry &e, bool is_write)
 
     const Tick data_start = now + (is_write ? timing_.tCWL : timing_.tCL);
     const Tick data_end = data_start + timing_.tBL;
-    scheduleBusBeat(data_start, data_end);
+    beats_.push_back({data_start, data_end});
+    busFreeAt_ = data_end;
 
     if (is_write) {
         lastWriteDataEnd_ = data_end;
@@ -308,26 +367,28 @@ Channel::recordCas(Tick now, Entry &e, bool is_write)
 }
 
 bool
-Channel::tryColumn(Tick now, EntryQueue &queue, bool is_write)
+Channel::tryColumn(Tick now, EntryQueue &queue, bool is_write, Tick *wake)
 {
     // No queued entry anywhere targets an open row: nothing can pass
-    // casTimingOk's open-row check, skip the scan.
+    // the open-row check, skip the scan. Only an ACT or an enqueue
+    // creates a row hit.
     if (rowHitWant_ == 0)
         return false;
     // Every row hit was timing-blocked at the last failed scan and no
     // tracked event has moved a deadline earlier since.
-    if (now < (is_write ? casRetryWrite_ : casRetryRead_))
-        return false;
-    // Entry-independent gates, hoisted out of the scan: no entry can
-    // pass casTimingOk while the shortest CAS-to-CAS gap is pending or
-    // the data bus is reserved past this burst's start.
-    if (lastCasValid_
-        && now < lastCas_ + std::min(timing_.tCCD_L, timing_.tCCD_S)) {
+    Tick &memo = is_write ? casRetryWrite_ : casRetryRead_;
+    if (now < memo) {
+        *wake = std::min(*wake, memo);
         return false;
     }
-    const Tick cas_lat = is_write ? timing_.tCWL : timing_.tCL;
-    if (now + cas_lat < busFreeAt_)
+    // Entry-independent gates, hoisted out of the scan: no entry can
+    // issue while the shortest CAS-to-CAS gap is pending or the data
+    // bus is reserved past this burst's start.
+    const Tick gate = casGateAt(is_write);
+    if (now < gate) {
+        *wake = std::min(*wake, gate);
         return false;
+    }
 
     // Earliest tick a row hit of this queue clears every CAS gate,
     // piggy-backed on the scan for the casRetry memo.
@@ -337,29 +398,14 @@ Channel::tryColumn(Tick now, EntryQueue &queue, bool is_write)
         // Only row hits matter; one counter load filters the rest.
         if (openRowWant_[cand.flatBank] == 0)
             continue;
-        const Bank &bank = banks_[cand.flatBank];
-        if (bank.openRow() != cand.dec.row)
+        if (banks_[cand.flatBank].openRow() != cand.dec.row)
             continue;
-        if (!casTimingOk(now, cand, is_write)) {
-            Tick at = bank.nextColumnAt(is_write);
-            if (lastCasValid_) {
-                const unsigned gap =
-                    (cand.dec.bankGroup == lastCasBankGroup_)
-                    ? timing_.tCCD_L : timing_.tCCD_S;
-                at = std::max(at, lastCas_ + gap);
-            }
-            if (!is_write && lastWriteValid_) {
-                const unsigned wtr =
-                    (cand.dec.bankGroup == lastWriteBankGroup_)
-                    ? timing_.tWTR_L : timing_.tWTR_S;
-                at = std::max(at, lastWriteDataEnd_ + wtr);
-            }
-            if (busFreeAt_ > cas_lat)
-                at = std::max(at, busFreeAt_ - cas_lat);
-            earliest = std::min(earliest, at);
+        const Tick ready = casReadyAt(cand, is_write);
+        if (now < ready) {
+            earliest = std::min(earliest, ready);
             continue;
         }
-        Entry entry = *it;
+        const Entry entry = cand;
         banks_[entry.flatBank].column(now, is_write, timing_);
         recordCas(now, entry, is_write);
         if (!is_write) {
@@ -376,29 +422,35 @@ Channel::tryColumn(Tick now, EntryQueue &queue, bool is_write)
     // Gating state only pushes deadlines later between tracked events,
     // so "no hit in this queue can issue before `earliest`" holds until
     // an event resets the memo. kInvalid when this queue holds no hits.
-    (is_write ? casRetryWrite_ : casRetryRead_) = earliest;
+    memo = earliest;
+    *wake = std::min(*wake, earliest);
     return false;
 }
 
 bool
-Channel::tryActivate(Tick now, EntryQueue &queue)
+Channel::tryActivate(Tick now, EntryQueue &queue, Tick *wake)
 {
-    // No queued entry anywhere sits on a closed bank: no ACT possible.
+    // No queued entry anywhere sits on a closed bank: no ACT possible
+    // until a precharge or an enqueue creates closed-bank demand.
     if (closedBankWant_ == 0)
         return false;
     // Entry-independent ACT gates (tRRD_S, tFAW), hoisted out of the
-    // scan; actTimingOk keeps the per-bank-group tRRD_L check.
-    if (lastActValid_ && now < lastAct_ + timing_.tRRD_S)
+    // scan; actReadyAt keeps the per-bank and tRRD_L checks.
+    const Tick gate = actGateAt();
+    if (now < gate) {
+        *wake = std::min(*wake, gate);
         return false;
-    if (actWindow_.size() >= 4 && now < actWindow_.front() + timing_.tFAW)
-        return false;
+    }
 
+    Tick earliest = kInvalid;
     for (auto &entry : queue) {
-        const Bank &bank = banks_[entry.flatBank];
-        if (bank.isOpen())
+        if (banks_[entry.flatBank].isOpen())
             continue;
-        if (!actTimingOk(now, entry))
+        const Tick ready = actReadyAt(entry);
+        if (now < ready) {
+            earliest = std::min(earliest, ready);
             continue;
+        }
         banks_[entry.flatBank].activate(now, entry.dec.row, timing_);
         // Closed -> open: the bank's entries leave the closed-bank
         // class; those matching the fresh row (exact count from the
@@ -419,26 +471,30 @@ Channel::tryActivate(Tick now, EntryQueue &queue)
             actWindow_.pop_front();
         return true;
     }
+    *wake = std::min(*wake, earliest);
     return false;
 }
 
 bool
-Channel::tryPrecharge(Tick now, EntryQueue &queue, bool is_write)
+Channel::tryPrecharge(Tick now, EntryQueue &queue, Tick *wake)
 {
     // Precharge needs an entry whose bank is open at a different row —
     // the class that is neither a row hit nor closed-bank demand. Empty
-    // class (counted across both queues): skip the scan.
-    if (readQueue_.size() + writeQueue_.size()
-        == rowHitWant_ + closedBankWant_) {
+    // class (counted across both queues): skip the scan. Only an ACT or
+    // an enqueue fills it.
+    if (occupancy() == rowHitWant_ + closedBankWant_)
         return false;
-    }
     // Every candidate bank was timing-blocked at the last failed sweep
     // and nothing has changed since: the sweep cannot succeed yet.
-    if (now < preRetryAt_)
+    if (now < preRetryAt_) {
+        *wake = std::min(*wake, preRetryAt_);
         return false;
+    }
     // Short queues: the entry-major scan touches fewer banks than a
-    // bank-major sweep would.
+    // bank-major sweep would. A bank whose open row is still wanted
+    // gives no bound: only a CAS (a command) can release it.
     if (queue.size() <= 8) {
+        Tick earliest = kInvalid;
         for (auto &entry : queue) {
             Bank &bank = banks_[entry.flatBank];
             if (!bank.isOpen() || bank.openRow() == entry.dec.row)
@@ -446,13 +502,15 @@ Channel::tryPrecharge(Tick now, EntryQueue &queue, bool is_write)
             // FR-FCFS: do not close a row other requests still want.
             if (openRowWanted(entry.flatBank))
                 continue;
-            if (!bank.canPrecharge(now))
+            if (!bank.canPrecharge(now)) {
+                earliest = std::min(earliest, bank.nextPreAt());
                 continue;
+            }
             closeRow(entry.flatBank, now);
             entry.hadConflict = true;
             return true;
         }
-        (void)is_write;
+        *wake = std::min(*wake, earliest);
         return false;
     }
 
@@ -487,11 +545,11 @@ Channel::tryPrecharge(Tick now, EntryQueue &queue, bool is_write)
         any = true;
     }
     if (!any) {
-        (void)is_write;
         // No bank is eligible now; none can become eligible before the
         // earliest deadline absent a tracked event (which resets the
         // memo). kInvalid when only an event can create a candidate.
         preRetryAt_ = earliest;
+        *wake = std::min(*wake, earliest);
         return false;
     }
     for (auto &entry : queue) {
@@ -501,25 +559,21 @@ Channel::tryPrecharge(Tick now, EntryQueue &queue, bool is_write)
         entry.hadConflict = true;
         return true;
     }
-    // Also mark conflicts for entries whose bank got closed on their
-    // behalf earlier: handled by hadConflict flag persistence. A flagged
-    // bank is eligible now (demand may sit in the other queue), so
-    // armPreRetry would not allow a skip — leave it disarmed.
+    // A flagged bank is eligible now and its demand sits in the other
+    // queue, which takes it this tick: leave the memo disarmed and
+    // allow no skip.
+    *wake = std::min(*wake, now);
     return false;
 }
 
 bool
-Channel::trySchedule(Tick now, EntryQueue &queue, bool is_write)
+Channel::trySchedule(Tick now, EntryQueue &queue, bool is_write,
+                     Tick *wake)
 {
     if (queue.empty())
         return false;
-    if (tryColumn(now, queue, is_write))
-        return true;
-    if (tryActivate(now, queue))
-        return true;
-    if (tryPrecharge(now, queue, is_write))
-        return true;
-    return false;
+    return tryColumn(now, queue, is_write, wake)
+        || tryActivate(now, queue, wake) || tryPrecharge(now, queue, wake);
 }
 
 } // namespace palermo

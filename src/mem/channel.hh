@@ -4,13 +4,49 @@
  * queues, write-drain hysteresis, write-to-read forwarding, bank timing,
  * tRRD/tFAW activate windows, CAS-to-CAS gating, and all-bank refresh.
  *
+ * Event-driven scheduling. The channel keeps a wake tick, `wakeAt_`: a
+ * lower bound on the earliest tick at which any ACT, PRE or CAS could
+ * issue. Ticks before it run only the O(1) accounting, data-bus
+ * retirement, the refresh check and the write-drain hysteresis; the
+ * FR-FCFS scans run from the wake tick on. The bound holds because:
+ *
+ *  - A tick that issues nothing sets it to the minimum of the bounds its
+ *    own tryColumn/tryActivate/tryPrecharge scans computed (per-entry
+ *    ready ticks, the hoisted tCCD/bus/tRRD_S/tFAW gates, the scan
+ *    memos). Between tracked events, timing gates only move later.
+ *  - Whether a tick issues anything does not depend on the write-drain
+ *    mode: when the first queue fails the second is tried, and the
+ *    mode only picks the order.
+ *  - Every command and every closeRow (refresh included) clears it.
+ *  - enqueue() merges only the new entry's own bound. Adding an entry
+ *    only adds FR-FCFS row wants, and a row want can block a precharge
+ *    but never unblocks another entry, so only the new entry can make
+ *    something issue earlier.
+ *
+ * tickWindow() jumps event to event: up to the next wake tick, refresh
+ * or data-bus edge, it accounts a whole span in one step. Within such a
+ * span nothing enqueues or dequeues, so occupancy is constant, and the
+ * bus state is constant by construction. The occupancy integral is a
+ * sum of integers in a double, so one accumulate(occupancy, k) is
+ * bit-identical to k single ones. Spans are taken only when
+ * re-evaluating the hysteresis leaves the mode unchanged (with an empty
+ * read queue and 0 < writes <= drainLow_ it flips every tick, and those
+ * ticks run one by one).
+ *
+ * Queues are contiguous vectors reserved to queueDepth at construction;
+ * enqueue() never lets one grow past it, so they never reallocate. Data
+ * beats are tracked as a FIFO of [start, end) intervals in issue order:
+ * a CAS needs its burst to start at or after busFreeAt_, so beats never
+ * overlap and at most one is active per tick.
+ *
  * Thread ownership (channel-sharded parallel stepping): every mutable
  * member of Channel — banks_, both queues, rowWant_, completions_, the
- * bus-event heap, refresh/drain state, stats_, and the PoolResource
- * backing the queue containers — is owned exclusively by this channel.
- * Channels never read or write each other's state, and `rowKey` is the
- * only static (a pure function), so disjoint channels may tick
- * concurrently on different threads within one DramSystem cycle epoch.
+ * beat FIFO, refresh/drain state, the wake tick and scan memos, stats_,
+ * and the PoolResource backing the row-want map, the tFAW window and
+ * the beat FIFO — is owned exclusively by this channel. Channels never
+ * read or write each other's state, and `rowKey` is the only static (a
+ * pure function), so disjoint channels may tick concurrently on
+ * different threads within one DramSystem cycle epoch.
  * enqueue()/completions() remain coordinator-only: traffic routing and
  * completion draining happen between epochs on the session thread.
  */
@@ -20,7 +56,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <queue>
 #include <vector>
 
 #include "common/flat_map.hh"
@@ -85,7 +120,8 @@ class Channel
      * Advance a batch of cycles [now, now + cycles) in one call — the
      * batched-epoch fast path used when the coordinator proved no
      * cross-channel event (enqueue, completion delivery) can occur in
-     * the window. State evolution is exactly `cycles` calls to tick().
+     * the window. State evolution is exactly `cycles` calls to tick();
+     * quiet spans between events are accounted in one step each.
      * @return The post-tick occupancy integral: sum over the window's
      *         cycles of occupancy() after each tick. All addends are
      *         small integers, so the sum is exact and order-free.
@@ -129,26 +165,48 @@ class Channel
         bool hadConflict = false;
     };
 
-    struct BusEvent
+    /** One data-bus beat, [start, end). */
+    struct Beat
     {
-        Tick tick;
-        int delta;
-        bool operator>(const BusEvent &o) const { return tick > o.tick; }
+        Tick start;
+        Tick end;
     };
 
-    /** Pool-backed request queue: deque chunks recycle across requests. */
-    using EntryQueue = std::deque<Entry, PoolAllocator<Entry>>;
+    /** Request queue in arrival order, reserved to queueDepth_. */
+    using EntryQueue = std::vector<Entry>;
 
     // Scheduling helpers; each issues at most one command and returns
-    // true if a command went out this cycle.
-    bool trySchedule(Tick now, EntryQueue &queue, bool is_write);
-    bool tryColumn(Tick now, EntryQueue &queue, bool is_write);
-    bool tryActivate(Tick now, EntryQueue &queue);
-    bool tryPrecharge(Tick now, EntryQueue &queue, bool is_write);
+    // true if a command went out this cycle. One that fails lowers
+    // *wake to a lower bound on the tick it could next succeed (left
+    // alone when only a tracked event can create a candidate).
+    bool trySchedule(Tick now, EntryQueue &queue, bool is_write,
+                     Tick *wake);
+    bool tryColumn(Tick now, EntryQueue &queue, bool is_write, Tick *wake);
+    bool tryActivate(Tick now, EntryQueue &queue, Tick *wake);
+    bool tryPrecharge(Tick now, EntryQueue &queue, Tick *wake);
     void handleRefresh(Tick now);
 
-    bool casTimingOk(Tick now, const Entry &e, bool is_write) const;
-    bool actTimingOk(Tick now, const Entry &e) const;
+    /** Earliest tick any CAS clears the entry-independent gates: the
+     * shortest CAS-to-CAS gap and the data bus. */
+    Tick casGateAt(bool is_write) const;
+    /** Earliest tick a CAS for `e` (a row hit) clears every gate. */
+    Tick casReadyAt(const Entry &e, bool is_write) const;
+    /** Earliest tick any ACT clears tRRD_S and tFAW. */
+    Tick actGateAt() const;
+    /** Earliest tick an ACT for `e` (closed bank) clears its bank and
+     * tRRD_L gates. */
+    Tick actReadyAt(const Entry &e) const;
+    /** Lower bound on the first command a newly queued entry needs. */
+    Tick entryReadyAt(const Entry &e, bool is_write) const;
+
+    /** Write-drain hysteresis: the mode the next tick would select. */
+    bool nextWriteMode() const;
+    /** Retire beats ended by `now` and set busActiveNow_. */
+    void retireBeats(Tick now);
+    /** Next tick after a retireBeats() call at which the bus state
+     * changes; kInvalid when no beat is pending. */
+    Tick nextBusEdge() const;
+
     bool rowWanted(std::uint64_t flat_bank, std::uint64_t row) const;
 
     /** rowWanted for a bank's currently open row: one array read. */
@@ -156,20 +214,20 @@ class Channel
     {
         return openRowWant_[flat_bank] > 0;
     }
-    void recordCas(Tick now, Entry &e, bool is_write);
-    void scheduleBusBeat(Tick start, Tick end);
+    void recordCas(Tick now, const Entry &e, bool is_write);
 
     /** Key of the queued-request count per (flat bank, row). */
     static std::uint64_t rowKey(std::uint64_t flat_bank, std::uint64_t row)
     {
         return (row << 16) | flat_bank;
     }
-    void trackEnqueue(const Entry &e);
+    void trackEnqueue(const Entry &e, bool is_write);
     void trackDequeue(const Entry &e);
 
     /** Precharge a bank and reclassify its queued entries as
      * closed-bank demand. Every open->closed transition goes through
-     * here so the scheduler-gate counters stay exact. */
+     * here so the scheduler-gate counters stay exact; it also clears
+     * the wake tick. */
     void closeRow(std::size_t flat_bank, Tick now);
 
     const DramOrg org_;
@@ -182,7 +240,7 @@ class Channel
     using RowWantMap = FlatMap<std::uint64_t, std::uint32_t>;
 
     std::vector<Bank> banks_;
-    PoolResource pool_; ///< Backs the containers below; declared first.
+    PoolResource pool_; ///< Backs the pooled containers below.
     EntryQueue readQueue_;
     EntryQueue writeQueue_;
     RowWantMap rowWant_;
@@ -230,6 +288,13 @@ class Channel
         casRetryRead_ = 0;
         casRetryWrite_ = 0;
     }
+
+    /**
+     * Lower bound on the earliest tick any command could issue (see
+     * the file comment). 0 means scan on the next tick.
+     */
+    Tick wakeAt_ = 0;
+
     std::vector<Completion> completions_;
 
     // Channel-level gating state.
@@ -254,10 +319,9 @@ class Channel
     unsigned drainHigh_;
     unsigned drainLow_;
 
-    // Instantaneous data-bus activity tracking.
-    std::priority_queue<BusEvent, std::vector<BusEvent>,
-                        std::greater<BusEvent>> busEvents_;
-    int activeTransfers_ = 0;
+    // Instantaneous data-bus activity tracking: pending and active
+    // beats in issue order (also start order; they never overlap).
+    std::deque<Beat, PoolAllocator<Beat>> beats_;
     bool busActiveNow_ = false;
 
     ChannelStats stats_;

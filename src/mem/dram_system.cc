@@ -180,16 +180,24 @@ DramSystem::drainCompletions()
     // issue + tCL + tBL, which is later than the CAS issue tick).
     for (auto &channel : channels_) {
         auto &list = channel->completions();
-        for (auto &completion : list)
+        for (const Completion &completion : list) {
             pending_.push_back(completion);
+            nextDue_ = std::min(nextDue_, completion.finishTick);
+        }
         list.clear();
     }
     ready_.clear();
+    // Nothing due: the partition below would move nothing.
+    if (nextDue_ > now_)
+        return ready_;
     auto split = std::partition(
         pending_.begin(), pending_.end(),
         [this](const Completion &c) { return c.finishTick > now_; });
     ready_.assign(split, pending_.end());
     pending_.erase(split, pending_.end());
+    nextDue_ = kInvalid;
+    for (const Completion &completion : pending_)
+        nextDue_ = std::min(nextDue_, completion.finishTick);
     std::sort(ready_.begin(), ready_.end(),
               [](const Completion &a, const Completion &b) {
                   return a.finishTick < b.finishTick;

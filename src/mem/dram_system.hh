@@ -138,6 +138,7 @@ class DramSystem
     Tick now_ = 0;
     std::vector<Completion> ready_;
     std::vector<Completion> pending_;
+    Tick nextDue_ = kInvalid; ///< Earliest finishTick in pending_.
 };
 
 } // namespace palermo

@@ -9,6 +9,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <thread>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "common/log.hh"
 
@@ -207,18 +213,51 @@ gitDescribe()
 #endif
 }
 
+HostInfo
+HostInfo::probe()
+{
+    HostInfo host;
+#ifdef __linux__
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof(set), &set) == 0)
+        host.cores = static_cast<unsigned>(CPU_COUNT(&set));
+#endif
+    if (host.cores == 0)
+        host.cores = std::thread::hardware_concurrency();
+
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(cpuinfo, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const std::size_t colon = line.find(':');
+        const std::size_t start = colon == std::string::npos
+            ? std::string::npos : line.find_first_not_of(" \t", colon + 1);
+        if (start != std::string::npos)
+            host.cpuModel = line.substr(start);
+        break;
+    }
+    if (host.cpuModel.empty())
+        host.cpuModel = "unknown";
+    return host;
+}
+
 // ---------------------------------------------------------------------------
 // MetricsJson
 // ---------------------------------------------------------------------------
 
 void
 MetricsJson::writeHeader(JsonWriter &w, const std::string &tool,
-                         const std::string &schema)
+                         const std::string &schema, const HostInfo *host)
 {
     w.field("schema", schema);
     w.key("generator").beginObject();
     w.field("tool", tool);
     w.field("git", gitDescribe());
+    if (host != nullptr) {
+        w.field("host_cores", host->cores);
+        w.field("cpu_model", host->cpuModel);
+    }
     w.endObject();
 }
 
@@ -348,11 +387,12 @@ MetricsJson::writeDerived(JsonWriter &w,
 std::string
 MetricsJson::document(const std::string &tool,
                       const std::vector<RunRecord> &records,
-                      const std::map<std::string, double> &derived)
+                      const std::map<std::string, double> &derived,
+                      const HostInfo *host)
 {
     JsonWriter w;
     w.beginObject();
-    writeHeader(w, tool);
+    writeHeader(w, tool, kSchema, host);
     w.key("points").beginArray();
     for (const RunRecord &record : records)
         writeRecord(w, record);

@@ -93,6 +93,16 @@ std::string jsonNumber(double value);
  */
 const char *gitDescribe();
 
+/** The machine a document's host timings were measured on. */
+struct HostInfo
+{
+    unsigned cores = 0;   ///< CPUs this process may run on (as nproc).
+    std::string cpuModel; ///< /proc/cpuinfo "model name", or "unknown".
+
+    /** Probe the current host. */
+    static HostInfo probe();
+};
+
 /** Renders RunRecords as "palermo-metrics-v1" documents. */
 class MetricsJson
 {
@@ -104,18 +114,23 @@ class MetricsJson
      * @param tool Producing binary ("palermo_run", "bench_fig10", ...).
      * @param records Design points with their measured metrics.
      * @param derived Cross-point scalars (sorted map: stable order).
+     * @param host When set, stamped into the generator object (only
+     *        documents that carry host timings pass one).
      */
     static std::string document(
         const std::string &tool, const std::vector<RunRecord> &records,
-        const std::map<std::string, double> &derived = {});
+        const std::map<std::string, double> &derived = {},
+        const HostInfo *host = nullptr);
 
     /**
      * Append the schema/generator provenance header fields. Documents
      * with a different shape (e.g. bench_fig15's areapower-v1) pass
      * their own schema name so the provenance layout stays shared.
+     * A non-null @p host adds "host_cores" and "cpu_model".
      */
     static void writeHeader(JsonWriter &w, const std::string &tool,
-                            const std::string &schema = kSchema);
+                            const std::string &schema = kSchema,
+                            const HostInfo *host = nullptr);
 
     /**
      * Append one design-point entry (object) to an open array. When

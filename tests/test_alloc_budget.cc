@@ -21,6 +21,7 @@
 
 #include "common/alloc_count.hh"
 #include "common/rng.hh"
+#include "mem/channel.hh"
 #include "oram/palermo.hh"
 #include "service/kv_service.hh"
 #include "sim/experiment.hh"
@@ -179,6 +180,44 @@ TEST(AllocBudget, PrefillAllocatesPerTreeNotPerBlock)
     std::printf("prefilled 2^18-block Palermo: %llu allocs\n", allocs);
     EXPECT_EQ(oram.numBlocks(), config.numBlocks);
     EXPECT_LE(allocs, 256u);
+}
+
+TEST(AllocBudget, ChannelQueuesNeverReallocate)
+{
+    // Both request queues are reserved to the queue depth at
+    // construction, and the row-want map, tFAW window and data-beat
+    // FIFO recycle through the channel's pool: once one fill and drain
+    // has warmed the pool, filling both queues to the brim and
+    // draining them again touches the heap zero times.
+    const DramOrg org;
+    constexpr unsigned kDepth = 64;
+    Channel channel(org, ddr4_3200(), kDepth);
+    Tick now = 0;
+    const auto fill_and_drain = [&] {
+        for (unsigned i = 0; i < kDepth; ++i) {
+            DecodedAddr dec{};
+            dec.bankGroup = i % org.bankGroups;
+            dec.bank = (i / org.bankGroups) % org.banksPerGroup;
+            dec.row = i % 5;
+            dec.column = i;
+            ASSERT_TRUE(channel.enqueue(dec, false, i, now));
+            dec.column = i + kDepth; // A different line: no forwarding.
+            ASSERT_TRUE(channel.enqueue(dec, true, kDepth + i, now));
+        }
+        ASSERT_FALSE(channel.canEnqueue(false));
+        ASSERT_FALSE(channel.canEnqueue(true));
+        while (channel.occupancy() > 0) {
+            channel.tick(now++);
+            channel.completions().clear();
+        }
+    };
+    fill_and_drain();
+    const unsigned long long before = heapAllocationCount();
+    fill_and_drain();
+    const unsigned long long allocs = heapAllocationCount() - before;
+    std::printf("channel refill of %u reads + %u writes: %llu allocs\n",
+                kDepth, kDepth, allocs);
+    EXPECT_EQ(allocs, 0u);
 }
 
 TEST(AllocBudget, CounterCountsThisBinary)
