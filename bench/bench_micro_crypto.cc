@@ -1,16 +1,14 @@
 /**
  * @file
  * google-benchmark micros for the crypto substrate: Speck block
- * throughput, 64B CTR payload encryption, and PRF evaluation — the
- * operations the controller's crypto pipeline performs per slot.
+ * throughput and PRF evaluation, the cipher call under every default
+ * position-map leaf and tenant slice.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "bench_micro_util.hh"
 
-#include "common/rng.hh"
-#include "crypto/ctr_mode.hh"
 #include "crypto/prf.hh"
 #include "crypto/speck.hh"
 
@@ -30,33 +28,6 @@ BM_SpeckEncrypt(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * 16);
 }
 BENCHMARK(BM_SpeckEncrypt);
-
-void
-BM_SpeckDecrypt(benchmark::State &state)
-{
-    const Speck128 cipher({1, 2});
-    Speck128::Block block = {3, 4};
-    for (auto _ : state) {
-        block = cipher.decrypt(block);
-        benchmark::DoNotOptimize(block);
-    }
-    state.SetBytesProcessed(state.iterations() * 16);
-}
-BENCHMARK(BM_SpeckDecrypt);
-
-void
-BM_CtrEncrypt64B(benchmark::State &state)
-{
-    const CtrEncryptor enc({1, 2});
-    Payload64 payload{};
-    std::uint64_t version = 0;
-    for (auto _ : state) {
-        payload = enc.encrypt(payload, 0x1000, ++version);
-        benchmark::DoNotOptimize(payload);
-    }
-    state.SetBytesProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_CtrEncrypt64B);
 
 void
 BM_PrfEval(benchmark::State &state)

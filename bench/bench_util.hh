@@ -268,8 +268,6 @@ class Harness
         derived_[name] = value;
     }
 
-    unsigned jobs() const { return options_.jobs; }
-
     /**
      * Emit JSON if requested and run the sanity gate. Returns the
      * process exit code: 0 clean, 1 on stash overflow / degenerate

@@ -70,9 +70,6 @@ class ZipfSampler
     /** Draw one item index in [0, n). Rank 0 is the most popular item. */
     std::uint64_t sample();
 
-    std::uint64_t itemCount() const { return n_; }
-    double alpha() const { return alpha_; }
-
   private:
     std::uint64_t n_;
     double alpha_;

@@ -1,13 +1,12 @@
 /**
  * @file
- * Counter/Average/Histogram bookkeeping and text formatting.
+ * Average/Histogram/TimeWeighted bookkeeping and the geometric mean.
  */
 
 #include "common/stats.hh"
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/log.hh"
 
@@ -87,20 +86,6 @@ Histogram::quantile(double p) const
     return max_;
 }
 
-double
-Histogram::fractionAbove(double threshold) const
-{
-    if (count_ == 0)
-        return 0.0;
-    std::uint64_t above = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        const double bucket_mid = (i + 0.5) * bucketWidth_;
-        if (bucket_mid > threshold)
-            above += buckets_[i];
-    }
-    return static_cast<double>(above) / count_;
-}
-
 void
 TimeWeighted::accumulate(double level, std::uint64_t ticks)
 {
@@ -122,35 +107,6 @@ TimeWeighted::reset()
 {
     weighted_ = 0.0;
     ticks_ = 0;
-}
-
-void
-StatSet::set(const std::string &name, double value)
-{
-    values_[name] = value;
-}
-
-double
-StatSet::get(const std::string &name) const
-{
-    const auto it = values_.find(name);
-    palermo_assert(it != values_.end(), "unknown stat");
-    return it->second;
-}
-
-bool
-StatSet::has(const std::string &name) const
-{
-    return values_.count(name) > 0;
-}
-
-std::string
-StatSet::toString() const
-{
-    std::ostringstream os;
-    for (const auto &[name, value] : values_)
-        os << name << " = " << value << "\n";
-    return os.str();
 }
 
 double

@@ -10,9 +10,8 @@
 #ifndef PALERMO_COMMON_STATS_HH
 #define PALERMO_COMMON_STATS_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace palermo {
@@ -74,11 +73,7 @@ class Histogram
     /** Approximate p-quantile (0 <= p <= 1) from bucket boundaries. */
     double quantile(double p) const;
 
-    /** Fraction of samples strictly above the given threshold. */
-    double fractionAbove(double threshold) const;
-
     const std::vector<std::uint64_t> &buckets() const { return buckets_; }
-    double bucketWidth() const { return bucketWidth_; }
 
   private:
     double bucketWidth_;
@@ -117,19 +112,6 @@ class TimeWeighted
   private:
     double weighted_ = 0.0;
     std::uint64_t ticks_ = 0;
-};
-
-/** Named scalar set with pretty-printing, for bench table output. */
-class StatSet
-{
-  public:
-    void set(const std::string &name, double value);
-    double get(const std::string &name) const;
-    bool has(const std::string &name) const;
-    std::string toString() const;
-
-  private:
-    std::map<std::string, double> values_;
 };
 
 /** Geometric mean of a vector of strictly positive values. */

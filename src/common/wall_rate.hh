@@ -23,10 +23,7 @@ class WallRateMeter
   public:
     WallRateMeter() : start_(std::chrono::steady_clock::now()) {}
 
-    /** Restart the measurement window at now. */
-    void restart() { start_ = std::chrono::steady_clock::now(); }
-
-    /** Seconds elapsed since construction / the last restart(). */
+    /** Seconds elapsed since construction. */
     double elapsedSeconds() const;
 
     /**

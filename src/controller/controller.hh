@@ -44,14 +44,9 @@ class Controller
      * idle() holds, touching no DRAM state. Callers may only invoke
      * this when idle() is true. Returns false when the controller
      * cannot prove its idle tick is pure accounting (the caller must
-     * fall back to per-cycle tick()); the default is that fallback.
+     * fall back to per-cycle tick()).
      */
-    virtual bool
-    tickIdle(std::uint64_t cycles)
-    {
-        (void)cycles;
-        return false;
-    }
+    virtual bool tickIdle(std::uint64_t cycles) = 0;
 
     /** A DRAM read completed (tag issued by this controller). */
     virtual void onCompletion(std::uint64_t tag) = 0;

@@ -8,23 +8,6 @@
 
 namespace palermo {
 
-void
-ControllerStats::reset()
-{
-    dramCycles = {};
-    syncCycles = {};
-    idleCycles = 0;
-    totalCycles = 0;
-    served = 0;
-    dummies = 0;
-    llcHits = 0;
-    issuedReads = 0;
-    issuedWrites = 0;
-    latency.reset();
-    samples.clear();
-    leafTrace.clear();
-}
-
 double
 ControllerStats::syncFraction() const
 {

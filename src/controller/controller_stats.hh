@@ -60,8 +60,6 @@ struct ControllerStats
             leafTrace.push_back(leaf);
     }
 
-    void reset();
-
     /** Fraction of busy cycles spent stalled (ORAM-sync, Fig. 3b). */
     double syncFraction() const;
 

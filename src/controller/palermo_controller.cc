@@ -426,15 +426,50 @@ PalermoController::stashOf(unsigned level)
 
 namespace {
 
-/** Shared builder: both Palermo bars drive the same PE mesh. */
+/**
+ * Shared builder: all three Palermo bars drive the same PE mesh from
+ * the config's mesh knobs and decrypt latency; Palermo-SW runs it in
+ * software mode.
+ */
 std::unique_ptr<Controller>
-buildPalermo(const SystemConfig &config)
+buildPalermo(const SystemConfig &config, bool sw_mode)
 {
-    PalermoControllerConfig hw = config.palermo;
-    hw.swMode = false;
-    hw.decryptLatency = config.decryptLatency;
+    PalermoControllerConfig mesh = config.palermo;
+    mesh.swMode = sw_mode;
+    mesh.decryptLatency = config.decryptLatency;
     return std::make_unique<PalermoController>(
-        std::make_unique<PalermoOram>(config.protocol), hw);
+        std::make_unique<PalermoOram>(config.protocol), mesh);
+}
+
+std::unique_ptr<Controller>
+buildPalermoHw(const SystemConfig &config)
+{
+    return buildPalermo(config, false);
+}
+
+/**
+ * Registry entry: Palermo-SW, the protocol-only 1.2x bar (paper
+ * Fig. 10). It runs Algorithm 2 with coarse software synchronization
+ * instead of the PE mesh: hierarchy levels execute sequentially within
+ * a request (the mutex around the PosMap check kills intra-request
+ * parallelism), and each tree's lock is held from the PosMap check
+ * through ReadPath issue, so only the ReadPaths of consecutive
+ * requests overlap. It isolates how much of Palermo's gain needs the
+ * co-designed hardware.
+ */
+ProtocolDescriptor
+palermoSwDescriptor()
+{
+    ProtocolDescriptor d;
+    d.kind = ProtocolKind::PalermoSw;
+    d.displayName = "Palermo-SW";
+    d.shortToken = "palermo-sw";
+    d.aliases = {"palermosw", "sw"};
+    d.barOrder = 5;
+    d.build = [](const SystemConfig &config) {
+        return buildPalermo(config, true);
+    };
+    return d;
 }
 
 /** Registry entry: the co-designed hardware controller (paper §V). */
@@ -446,7 +481,7 @@ palermoDescriptor()
     d.displayName = "Palermo";
     d.shortToken = "palermo";
     d.barOrder = 6;
-    d.build = buildPalermo;
+    d.build = buildPalermoHw;
     return d;
 }
 
@@ -475,10 +510,11 @@ palermoPrefetchDescriptor()
         if (config.protocol.prefetchLen <= 1)
             config.protocol.prefetchLen = kDefaultPrefetchLen;
     };
-    d.build = buildPalermo;
+    d.build = buildPalermoHw;
     return d;
 }
 
+const ProtocolRegistrar palermoSwRegistrar{palermoSwDescriptor()};
 const ProtocolRegistrar palermoRegistrar{palermoDescriptor()};
 const ProtocolRegistrar prefetchRegistrar{palermoPrefetchDescriptor()};
 

@@ -18,8 +18,8 @@
  *
  * All ReadPaths overlap freely, which is where the bandwidth comes from.
  * Requests retire in CommitHead order. The software-only variant
- * (Palermo-SW, paper Fig. 10) coarsens both dependencies; see
- * palermo_sw_controller.hh.
+ * (Palermo-SW, paper Fig. 10) coarsens both dependencies: it is this
+ * controller with PalermoControllerConfig::swMode set.
  */
 
 #ifndef PALERMO_CONTROLLER_PALERMO_CONTROLLER_HH

@@ -59,13 +59,6 @@ SerialController::currentLevel(const Pending &req) const
     return kLevelData;
 }
 
-bool
-SerialController::phaseIssued(const Pending &req) const
-{
-    const LevelPlan &level = req.plan.levels[req.levelIdx];
-    return req.opIdx >= level.phases[req.phaseIdx].ops.size();
-}
-
 void
 SerialController::retire(Pending &req, Tick now)
 {

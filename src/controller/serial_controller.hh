@@ -49,8 +49,6 @@ class SerialController : public Controller
     const Stash &stashOf(unsigned level) const override;
     Stash &stashOf(unsigned level) override;
 
-    Protocol &protocol() { return *protocol_; }
-
   private:
     struct Pending
     {
@@ -68,7 +66,6 @@ class SerialController : public Controller
     /** Advance through completed (or empty) phases. */
     void advance(Pending &req, Tick now);
     void retire(Pending &req, Tick now);
-    bool phaseIssued(const Pending &req) const;
     unsigned currentLevel(const Pending &req) const;
 
     std::unique_ptr<Protocol> protocol_;

@@ -32,16 +32,6 @@ round(std::uint64_t &x, std::uint64_t &y, std::uint64_t k)
     y ^= x;
 }
 
-inline void
-invRound(std::uint64_t &x, std::uint64_t &y, std::uint64_t k)
-{
-    y ^= x;
-    y = ror(y, 3);
-    x ^= k;
-    x -= y;
-    x = rol(x, 8);
-}
-
 } // namespace
 
 Speck128::Speck128(const Key &key)
@@ -63,16 +53,6 @@ Speck128::encrypt(Block plaintext) const
     std::uint64_t x = plaintext[1];
     for (unsigned i = 0; i < kRounds; ++i)
         round(x, y, roundKeys_[i]);
-    return {y, x};
-}
-
-Speck128::Block
-Speck128::decrypt(Block ciphertext) const
-{
-    std::uint64_t y = ciphertext[0];
-    std::uint64_t x = ciphertext[1];
-    for (unsigned i = kRounds; i-- > 0;)
-        invRound(x, y, roundKeys_[i]);
     return {y, x};
 }
 

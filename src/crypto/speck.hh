@@ -4,10 +4,11 @@
  *
  * The paper's RTL uses AES units; this repo uses Speck because it is a
  * published ARX cipher that is tiny to implement from the specification,
- * fast in software, and sufficient to model the controller's
- * encrypt/decrypt datapath (block confidentiality on the memory bus). The
- * timing model charges a fixed pipeline latency per block regardless of
- * cipher choice, so the substitution does not affect any experiment.
+ * fast in software, and a sound keyed permutation for the PRF under the
+ * position maps and tenant slices (crypto/prf.hh). The timing model
+ * charges decryption as a fixed latency per block (decryptLatency)
+ * without running a cipher, so the substitution does not affect any
+ * experiment.
  */
 
 #ifndef PALERMO_CRYPTO_SPECK_HH
@@ -27,11 +28,8 @@ class Speck128
 
     explicit Speck128(const Key &key);
 
-    /** Encrypt one 128-bit block in place. */
+    /** Encrypt one 128-bit block. */
     Block encrypt(Block plaintext) const;
-
-    /** Decrypt one 128-bit block in place. */
-    Block decrypt(Block ciphertext) const;
 
     static constexpr unsigned kRounds = 32;
 

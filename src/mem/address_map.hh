@@ -76,8 +76,6 @@ class AddressMap
     /** Re-encode coordinates into the canonical byte address (inverse). */
     Addr encode(const DecodedAddr &dec) const;
 
-    const DramOrg &org() const { return org_; }
-    MapPolicy policy() const { return policy_; }
 
   private:
     DramOrg org_;

@@ -262,17 +262,6 @@ Channel::handleRefresh(Tick now)
     wakeAt_ = 0;
 }
 
-bool
-Channel::rowWanted(std::uint64_t flat_bank, std::uint64_t row) const
-{
-    // Exact mirror of a scan over both queues: rowWant_ counts every
-    // queued entry by (flat bank, row). Callers asking about a bank's
-    // currently open row take the incremental per-bank count instead
-    // (openRowWant_, maintained by trackEnqueue/trackDequeue and
-    // re-derived from this table on each ACT).
-    return rowWant_.contains(rowKey(flat_bank, row));
-}
-
 Tick
 Channel::casGateAt(bool is_write) const
 {

@@ -207,9 +207,8 @@ class Channel
      * changes; kInvalid when no beat is pending. */
     Tick nextBusEdge() const;
 
-    bool rowWanted(std::uint64_t flat_bank, std::uint64_t row) const;
-
-    /** rowWanted for a bank's currently open row: one array read. */
+    /** True if a queued entry wants the bank's open row: one array
+     * read. */
     bool openRowWanted(std::uint64_t flat_bank) const
     {
         return openRowWant_[flat_bank] > 0;
@@ -234,9 +233,9 @@ class Channel
     const DramTiming timing_;
     const unsigned queueDepth_;
 
-    /** Queued requests per (flat bank, row); exact rowWanted() lookup.
-     * Flat map: this is probed once per queue scan step, the hottest
-     * lookup in the DRAM model. Counts only — never iterated. */
+    /** Queued requests per (flat bank, row); an ACT re-derives the
+     * bank's openRowWant_ count from it. Flat map, counts only — never
+     * iterated. */
     using RowWantMap = FlatMap<std::uint64_t, std::uint32_t>;
 
     std::vector<Bank> banks_;
@@ -244,8 +243,9 @@ class Channel
     EntryQueue readQueue_;
     EntryQueue writeQueue_;
     RowWantMap rowWant_;
-    /** Queued entries wanting each bank's open row (exact; see
-     * rowWanted). Zero for closed banks, recomputed on ACT. */
+    /** Queued entries wanting each bank's open row (exact: the
+     * rowWant_ count of that row). Zero for closed banks, recomputed
+     * on ACT. */
     std::vector<std::uint32_t> openRowWant_;
     /** Queued entries per flat bank, regardless of row. */
     std::vector<std::uint32_t> bankWant_;

@@ -93,13 +93,6 @@ DramSystem::DramSystem(const DramConfig &config)
 }
 
 bool
-DramSystem::canEnqueue(Addr addr, bool is_write) const
-{
-    const DecodedAddr dec = map_.decode(addr);
-    return channels_[dec.channel]->canEnqueue(is_write);
-}
-
-bool
 DramSystem::enqueue(Addr addr, bool is_write, std::uint64_t tag)
 {
     const DecodedAddr dec = map_.decode(addr);
@@ -258,18 +251,6 @@ DramSystem::snapshot() const
     snap.avgReadLatency =
         latency_samples ? latency / latency_samples : 0.0;
     return snap;
-}
-
-double
-DramSystem::peakBytesPerTick() const
-{
-    return config_.timing.bytesPerCycle() * config_.org.channels;
-}
-
-double
-DramSystem::peakBandwidthGBps() const
-{
-    return peakBytesPerTick() * config_.timing.clockGHz;
 }
 
 } // namespace palermo

@@ -58,9 +58,6 @@ class DramSystem
   public:
     explicit DramSystem(const DramConfig &config);
 
-    /** True if the owning channel's queue can accept this request. */
-    bool canEnqueue(Addr addr, bool is_write) const;
-
     /**
      * Enqueue one 64B request. Tags identify completions for reads.
      * @return false when the channel queue is full.
@@ -122,14 +119,7 @@ class DramSystem
     /** Aggregate statistics across channels. */
     DramSnapshot snapshot() const;
 
-    /** Peak bandwidth in bytes per tick across all channels. */
-    double peakBytesPerTick() const;
-
-    /** Peak bandwidth in GB/s. */
-    double peakBandwidthGBps() const;
-
     const DramConfig &config() const { return config_; }
-    const AddressMap &addressMap() const { return map_; }
 
   private:
     DramConfig config_;

@@ -163,8 +163,6 @@ class PlanRecycler
     /** Return a retired plan for later reuse. */
     void recycle(RequestPlan &&plan);
 
-    std::size_t freeCount() const { return free_.size(); }
-
   private:
     /** Bound on hoarded plans; controllers retire promptly, so the
      *  steady-state population is the controller queue depth. */
@@ -178,8 +176,6 @@ class Protocol
 {
   public:
     virtual ~Protocol() = default;
-
-    virtual const char *name() const = 0;
 
     /**
      * Convert one LLC miss into ORAM request plans, appended to *out
@@ -211,14 +207,11 @@ class Protocol
         recycler_.recycle(std::move(plan));
     }
 
-    /** Stash of a hierarchy level (occupancy studies). */
-    virtual const Stash &stashOf(unsigned level) const = 0;
-
-    /** Mutable stash access (watermark-window resets between samples). */
+    /**
+     * Stash of a hierarchy level (occupancy studies); mutable so
+     * samplers can reset the watermark window between observations.
+     */
     virtual Stash &stashOf(unsigned level) = 0;
-
-    /** Blocks of the protected space (for trace sizing). */
-    virtual std::uint64_t numBlocks() const = 0;
 
     /** Leaves of the data tree (the attacker-visible address space). */
     virtual std::uint64_t dataLeaves() const = 0;

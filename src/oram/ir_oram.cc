@@ -109,13 +109,6 @@ IrOram::accessInto(BlockId pa, bool write, std::uint64_t value,
     out->push_back(std::move(plan));
 }
 
-const Stash &
-IrOram::stashOf(unsigned level) const
-{
-    palermo_assert(level < kHierLevels);
-    return engines_[level]->stash();
-}
-
 Stash &
 IrOram::stashOf(unsigned level)
 {

@@ -42,14 +42,10 @@ class IrOram : public Protocol
   public:
     explicit IrOram(const ProtocolConfig &config);
 
-    const char *name() const override { return "IR-ORAM"; }
-
     void accessInto(BlockId pa, bool write, std::uint64_t value,
                     std::vector<RequestPlan> *out) override;
 
-    const Stash &stashOf(unsigned level) const override;
     Stash &stashOf(unsigned level) override;
-    std::uint64_t numBlocks() const override { return config_.numBlocks; }
     std::uint64_t dataLeaves() const override
     {
         return engines_[kLevelData]->params().numLeaves;

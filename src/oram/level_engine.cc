@@ -85,14 +85,6 @@ RingEngine::resetBucket(NodeId node, std::vector<MemOp> &read_ops,
     appendMeta(write_ops, node, true);
 }
 
-LevelPlan
-RingEngine::access(BlockId block, Leaf leaf, Leaf new_leaf)
-{
-    LevelPlan plan;
-    accessInto(block, leaf, new_leaf, &plan);
-    return plan;
-}
-
 void
 RingEngine::accessInto(BlockId block, Leaf leaf, Leaf new_leaf,
                        LevelPlan *plan)

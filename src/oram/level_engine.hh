@@ -67,7 +67,8 @@ class RingEngine
                std::size_t stash_capacity = 256);
 
     /**
-     * Execute one RingORAM access functionally and emit its plan.
+     * Execute one RingORAM access functionally and emit its plan into
+     * a recycled plan (reset first).
      *
      * The caller (hierarchy) resolves the leaf from position-map content
      * and passes both the leaf to read and the fresh remap target. If
@@ -77,14 +78,12 @@ class RingEngine
      * @param block Block id within this tree's space.
      * @param leaf Path to read.
      * @param new_leaf Fresh leaf the block remaps to.
+     * @param plan Receives the access's phases.
      */
-    LevelPlan access(BlockId block, Leaf leaf, Leaf new_leaf);
-
-    /** access() into a recycled plan (resets it first). */
     void accessInto(BlockId block, Leaf leaf, Leaf new_leaf,
                     LevelPlan *plan);
 
-    /** Read a stashed block's payload (valid right after access()). */
+    /** Read a stashed block's payload (valid right after accessInto()). */
     std::uint64_t payloadOf(BlockId block) const;
 
     /** Overwrite a stashed block's payload (write requests). */
@@ -137,10 +136,11 @@ class RingEngine
     std::uint64_t accessCount_ = 0;
     std::uint64_t evictCounter_ = 0;
     /**
-     * Target of the in-progress access(); excluded from bucket refills
-     * so the hierarchy can read/update its payload in the stash after
-     * access() returns (and so a pre-check reset cannot re-plant it on
-     * its stale path after the position map was already updated).
+     * Target of the in-progress accessInto(); excluded from bucket
+     * refills so the hierarchy can read/update its payload in the stash
+     * after accessInto() returns (and so a pre-check reset cannot
+     * re-plant it on its stale path after the position map was already
+     * updated).
      */
     BlockId inFlight_ = kInvalid;
     EngineStats stats_;
@@ -160,7 +160,7 @@ class RingEngine
     std::vector<MemOp> epReadScratch_;   ///< EP fetch ops.
     std::vector<MemOp> epWriteScratch_;  ///< EP write-back ops.
     std::vector<BlockContent> takeScratch_;   ///< takeAllValid staging.
-    std::vector<BlockId> chosenScratch_;      ///< eligibleFor staging.
+    std::vector<BlockId> chosenScratch_;      ///< eligibleForInto staging.
     std::vector<BlockContent> refillScratch_; ///< Bucket refill staging.
 };
 

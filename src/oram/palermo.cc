@@ -119,13 +119,6 @@ PalermoOram::finishData(BlockId pa, bool write, std::uint64_t value)
     return data.payloadOf(block);
 }
 
-const Stash &
-PalermoOram::stashOf(unsigned level) const
-{
-    palermo_assert(level < kHierLevels);
-    return engines_[level]->stash();
-}
-
 Stash &
 PalermoOram::stashOf(unsigned level)
 {

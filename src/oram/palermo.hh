@@ -45,8 +45,6 @@ class PalermoOram
   public:
     explicit PalermoOram(const ProtocolConfig &config);
 
-    const char *name() const { return "Palermo"; }
-
     /**
      * Prefetch admission filter (Palermo+Prefetch): true if the miss is
      * absorbed by an LLC-resident prefetched line and needs no ORAM
@@ -78,7 +76,6 @@ class PalermoOram
      */
     std::uint64_t finishData(BlockId pa, bool write, std::uint64_t value);
 
-    const Stash &stashOf(unsigned level) const;
     Stash &stashOf(unsigned level);
     RingEngine &engine(unsigned level) { return *engines_[level]; }
     const RingEngine &engine(unsigned level) const

@@ -48,14 +48,6 @@ PathEngine::appendMeta(std::vector<MemOp> &ops, NodeId node,
     ops.push_back({layout_.metaAddr(node), write});
 }
 
-std::vector<NodeId>
-PathEngine::accessSet(Leaf leaf) const
-{
-    std::vector<NodeId> nodes;
-    accessSetInto(leaf, &nodes);
-    return nodes;
-}
-
 void
 PathEngine::accessSetInto(Leaf leaf, std::vector<NodeId> *nodes) const
 {
@@ -195,14 +187,6 @@ PathEngine::runInto(BlockId block, Leaf leaf, Leaf new_leaf, bool dummy,
     plan->phases.emplaceBack(PhaseKind::EvictWrite).ops.swap(epScratch_);
 }
 
-LevelPlan
-PathEngine::access(BlockId block, Leaf leaf, Leaf new_leaf)
-{
-    LevelPlan plan;
-    accessInto(block, leaf, new_leaf, &plan);
-    return plan;
-}
-
 void
 PathEngine::accessInto(BlockId block, Leaf leaf, Leaf new_leaf,
                        LevelPlan *plan)
@@ -210,15 +194,6 @@ PathEngine::accessInto(BlockId block, Leaf leaf, Leaf new_leaf,
     palermo_assert(block < params_.numBlocks);
     palermo_assert(new_leaf < params_.numLeaves);
     runInto(block, leaf, new_leaf, false, nullptr, plan);
-}
-
-LevelPlan
-PathEngine::accessGroup(BlockId block, const std::vector<BlockId> &members,
-                        Leaf leaf, Leaf new_leaf)
-{
-    LevelPlan plan;
-    accessGroupInto(block, members, leaf, new_leaf, &plan);
-    return plan;
 }
 
 void
@@ -229,14 +204,6 @@ PathEngine::accessGroupInto(BlockId block,
     palermo_assert(block < params_.numBlocks);
     palermo_assert(new_leaf < params_.numLeaves);
     runInto(block, leaf, new_leaf, false, &members, plan);
-}
-
-LevelPlan
-PathEngine::dummyAccess(Leaf leaf)
-{
-    LevelPlan plan;
-    dummyAccessInto(leaf, &plan);
-    return plan;
 }
 
 void
@@ -262,7 +229,9 @@ PathEngine::satisfiesInvariant(BlockId block, Leaf leaf) const
 {
     if (stash_.contains(block))
         return true;
-    for (NodeId node : accessSet(leaf)) {
+    std::vector<NodeId> nodes;
+    accessSetInto(leaf, &nodes);
+    for (NodeId node : nodes) {
         const auto meta = tree_.peek(node);
         if (meta && meta.slotOf(block) >= 0)
             return true;

@@ -54,29 +54,24 @@ class PathEngine
                std::size_t stash_capacity = 256);
 
     /**
-     * Execute one PathORAM access functionally and emit its plan.
+     * Execute one PathORAM access functionally and emit its plan into
+     * a recycled plan (reset first).
      * @param block Target block within this tree's space.
      * @param leaf Mapped leaf to read (caller-resolved).
      * @param new_leaf Fresh uniform remap target.
+     * @param plan Receives the access's phases.
      */
-    LevelPlan access(BlockId block, Leaf leaf, Leaf new_leaf);
-
-    /** access() into a recycled plan (resets it first). */
     void accessInto(BlockId block, Leaf leaf, Leaf new_leaf,
                     LevelPlan *plan);
 
     /**
-     * PrORAM group access: like access(), but every listed group member
-     * found on the path (or conjured on first touch) is co-remapped to
-     * the shared new leaf *before* the write-back eviction — the forced
-     * same-leaf mapping whose stash pressure §III-B analyzes. Members
-     * must currently share `leaf` (the caller filters).
+     * PrORAM group access: like accessInto(), but every listed group
+     * member found on the path (or conjured on first touch) is
+     * co-remapped to the shared new leaf *before* the write-back
+     * eviction — the forced same-leaf mapping whose stash pressure
+     * §III-B analyzes. Members must currently share `leaf` (the caller
+     * filters).
      */
-    LevelPlan accessGroup(BlockId block,
-                          const std::vector<BlockId> &members, Leaf leaf,
-                          Leaf new_leaf);
-
-    /** accessGroup() into a recycled plan (resets it first). */
     void accessGroupInto(BlockId block, const std::vector<BlockId> &members,
                          Leaf leaf, Leaf new_leaf, LevelPlan *plan);
 
@@ -84,10 +79,8 @@ class PathEngine
      * Execute a dummy access: read and evict a path without serving any
      * block (PrORAM background eviction to relieve stash pressure).
      * @param leaf Random path to exercise.
+     * @param plan Receives the access's phases (reset first).
      */
-    LevelPlan dummyAccess(Leaf leaf);
-
-    /** dummyAccess() into a recycled plan (resets it first). */
     void dummyAccessInto(Leaf leaf, LevelPlan *plan);
 
     std::uint64_t payloadOf(BlockId block) const;
@@ -113,10 +106,10 @@ class PathEngine
     bool satisfiesInvariant(BlockId block, Leaf leaf) const;
 
   private:
-    /** Bucket set an access touches: path or path + siblings. */
-    std::vector<NodeId> accessSet(Leaf leaf) const;
-
-    /** accessSet into a caller-owned buffer (cleared first). */
+    /**
+     * Bucket set an access touches, path or path + siblings, into a
+     * caller-owned buffer (cleared first).
+     */
     void accessSetInto(Leaf leaf, std::vector<NodeId> *nodes) const;
 
     /** True if `node` may hold a block mapped to `leaf`. */

@@ -64,13 +64,6 @@ PathOram::accessInto(BlockId pa, bool write, std::uint64_t value,
     out->push_back(std::move(plan));
 }
 
-const Stash &
-PathOram::stashOf(unsigned level) const
-{
-    palermo_assert(level < kHierLevels);
-    return engines_[level]->stash();
-}
-
 Stash &
 PathOram::stashOf(unsigned level)
 {

@@ -23,20 +23,15 @@ class PathOram : public Protocol
   public:
     explicit PathOram(const ProtocolConfig &config);
 
-    const char *name() const override { return "PathORAM"; }
-
     void accessInto(BlockId pa, bool write, std::uint64_t value,
                     std::vector<RequestPlan> *out) override;
 
-    const Stash &stashOf(unsigned level) const override;
     Stash &stashOf(unsigned level) override;
-    std::uint64_t numBlocks() const override { return config_.numBlocks; }
     std::uint64_t dataLeaves() const override
     {
         return engines_[kLevelData]->params().numLeaves;
     }
 
-    PathEngine &engine(unsigned level) { return *engines_[level]; }
     const PosMap &posMap(unsigned level) const { return *posMaps_[level]; }
 
     bool checkBlockInvariant(BlockId pa) const;

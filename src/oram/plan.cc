@@ -8,20 +8,6 @@
 
 namespace palermo {
 
-const char *
-phaseKindName(PhaseKind kind)
-{
-    switch (kind) {
-      case PhaseKind::LoadMeta: return "LM";
-      case PhaseKind::ResetRead: return "ER-rd";
-      case PhaseKind::ResetWrite: return "ER-wr";
-      case PhaseKind::ReadPath: return "RP";
-      case PhaseKind::EvictRead: return "EP-rd";
-      case PhaseKind::EvictWrite: return "EP-wr";
-    }
-    return "?";
-}
-
 std::size_t
 Phase::readCount() const
 {

@@ -37,9 +37,6 @@ enum class PhaseKind
     EvictWrite,   ///< EP write-back: rewrite eviction path (posted).
 };
 
-/** Human-readable phase name for logs and bench output. */
-const char *phaseKindName(PhaseKind kind);
-
 /** One phase: a batch of DRAM line operations issued together. */
 struct Phase
 {
@@ -66,7 +63,6 @@ class PhaseList
     static constexpr std::size_t kMaxPhases = 6;
 
     std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
     /** Rewind to empty; slot op buffers keep their capacity. */
     void clear() { size_ = 0; }
 

@@ -180,13 +180,6 @@ PrOram::accessInto(BlockId pa, bool write, std::uint64_t value,
     out->push_back(std::move(plan));
 }
 
-const Stash &
-PrOram::stashOf(unsigned level) const
-{
-    palermo_assert(level < kHierLevels);
-    return engines_[level]->stash();
-}
-
 Stash &
 PrOram::stashOf(unsigned level)
 {

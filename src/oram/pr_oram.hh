@@ -48,24 +48,16 @@ class PrOram : public Protocol
   public:
     explicit PrOram(const ProtocolConfig &config);
 
-    const char *name() const override
-    {
-        return config_.fatTree ? "LAORAM" : "PrORAM";
-    }
-
     void accessInto(BlockId pa, bool write, std::uint64_t value,
                     std::vector<RequestPlan> *out) override;
 
-    const Stash &stashOf(unsigned level) const override;
     Stash &stashOf(unsigned level) override;
-    std::uint64_t numBlocks() const override { return config_.numBlocks; }
     std::uint64_t dataLeaves() const override
     {
         return engines_[kLevelData]->params().numLeaves;
     }
 
     const PrOramStats &prStats() const { return prStats_; }
-    PathEngine &engine(unsigned level) { return *engines_[level]; }
     const PosMap &posMap(unsigned level) const { return *posMaps_[level]; }
     bool checkBlockInvariant(BlockId pa) const;
 

@@ -76,13 +76,6 @@ RingOram::accessInto(BlockId pa, bool write, std::uint64_t value,
     out->push_back(std::move(plan));
 }
 
-const Stash &
-RingOram::stashOf(unsigned level) const
-{
-    palermo_assert(level < kHierLevels);
-    return engines_[level]->stash();
-}
-
 Stash &
 RingOram::stashOf(unsigned level)
 {

@@ -23,17 +23,10 @@ class RingOram : public Protocol
   public:
     explicit RingOram(const ProtocolConfig &config);
 
-    const char *name() const override { return "RingORAM"; }
-
     void accessInto(BlockId pa, bool write, std::uint64_t value,
                     std::vector<RequestPlan> *out) override;
 
-    const Stash &stashOf(unsigned level) const override;
     Stash &stashOf(unsigned level) override;
-    std::uint64_t numBlocks() const override
-    {
-        return config_.numBlocks;
-    }
     std::uint64_t dataLeaves() const override
     {
         return engines_[kLevelData]->params().numLeaves;

@@ -82,15 +82,6 @@ Stash::take(BlockId block)
     return out;
 }
 
-std::vector<BlockId>
-Stash::eligibleFor(NodeId node, const OramParams &params,
-                   std::size_t max_count, BlockId exclude) const
-{
-    std::vector<BlockId> out;
-    eligibleForInto(node, params, max_count, exclude, &out);
-    return out;
-}
-
 void
 Stash::eligibleForInto(NodeId node, const OramParams &params,
                        std::size_t max_count, BlockId exclude,

@@ -83,16 +83,12 @@ class Stash
 
     /**
      * Collect up to `max_count` stashed blocks eligible for the given
-     * node (their leaf path passes through it), in items() order; does
-     * not remove them.
+     * node (their leaf path passes through it), in items() order, into
+     * a caller-owned buffer (cleared first); does not remove them.
      * @param exclude Block to skip (the in-flight access target, which
-     *        must stay in the stash until its request retires).
+     *        must stay in the stash until its request retires), or
+     *        kInvalid.
      */
-    std::vector<BlockId> eligibleFor(NodeId node, const OramParams &params,
-                                     std::size_t max_count,
-                                     BlockId exclude = kInvalid) const;
-
-    /** eligibleFor into a caller-owned buffer (cleared first). */
     void eligibleForInto(NodeId node, const OramParams &params,
                          std::size_t max_count, BlockId exclude,
                          std::vector<BlockId> *out) const;

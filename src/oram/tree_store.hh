@@ -319,9 +319,7 @@ class TreeStore
 
         unsigned slots() const { return view().slots(); }
         unsigned accessed() const { return view().accessed(); }
-        unsigned validRealCount() const { return view().validRealCount(); }
         int slotOf(BlockId block) const { return view().slotOf(block); }
-        bool needsReset() const { return view().needsReset(); }
         BlockContent slot(unsigned i) const { return view().slot(i); }
 
       private:

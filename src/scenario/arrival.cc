@@ -11,16 +11,6 @@
 
 namespace palermo {
 
-const char *
-arrivalProcessName(ArrivalProcess process)
-{
-    switch (process) {
-      case ArrivalProcess::Poisson: return "poisson";
-      case ArrivalProcess::Fixed: return "fixed";
-    }
-    return "poisson";
-}
-
 bool
 arrivalProcessFromName(const std::string &name, ArrivalProcess *process)
 {
@@ -31,16 +21,6 @@ arrivalProcessFromName(const std::string &name, ArrivalProcess *process)
     else
         return false;
     return true;
-}
-
-const char *
-keyDistName(KeyDist dist)
-{
-    switch (dist) {
-      case KeyDist::Zipf: return "zipf";
-      case KeyDist::Uniform: return "uniform";
-    }
-    return "zipf";
 }
 
 bool
@@ -100,16 +80,6 @@ RateCurve
 RateCurve::constant(double rate_per_kilocycle)
 {
     return RateCurve({Segment{kTickNever, rate_per_kilocycle}});
-}
-
-double
-RateCurve::rateAt(double t) const
-{
-    for (const Segment &segment : segments_) {
-        if (t < static_cast<double>(segment.untilCycle))
-            return segment.ratePerKilocycle;
-    }
-    return segments_.back().ratePerKilocycle;
 }
 
 double

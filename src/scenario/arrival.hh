@@ -37,8 +37,6 @@ enum class ArrivalProcess
     Fixed,   ///< Constant inter-arrival gaps (paced clients).
 };
 
-const char *arrivalProcessName(ArrivalProcess process);
-
 /** Parse "poisson"/"fixed"; returns false on unknown names. */
 bool arrivalProcessFromName(const std::string &name,
                             ArrivalProcess *process);
@@ -49,8 +47,6 @@ enum class KeyDist
     Zipf,    ///< Skewed popularity (hot keys), alpha-parameterized.
     Uniform, ///< Every key equally likely.
 };
-
-const char *keyDistName(KeyDist dist);
 
 /** Parse "zipf"/"uniform"; returns false on unknown names. */
 bool keyDistFromName(const std::string &name, KeyDist *dist);
@@ -77,7 +73,6 @@ class TenantKeySampler
     /** Draw one key in [0, sliceSize) for the given tenant. */
     std::uint64_t draw(unsigned tenant);
 
-    KeyDist dist() const { return dist_; }
     std::uint64_t sliceSize() const { return sliceSize_; }
 
   private:
@@ -107,9 +102,6 @@ class RateCurve
     /** Constant-rate convenience. */
     static RateCurve constant(double rate_per_kilocycle);
 
-    /** Rate in effect at the given instant. */
-    double rateAt(double t) const;
-
     /**
      * Next arrival instant after @p t for a unit-mean exponential (or
      * deterministic, for Fixed) draw @p u: solves the integral
@@ -117,8 +109,6 @@ class RateCurve
      * the curve is silent forever after t (no further arrival).
      */
     double nextArrival(double t, double u) const;
-
-    const std::vector<Segment> &segments() const { return segments_; }
 
   private:
     std::vector<Segment> segments_;

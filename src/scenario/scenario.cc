@@ -275,16 +275,6 @@ parseTenant(const JsonValue &value, const std::string &base_dir,
 
 } // namespace
 
-const char *
-sourceKindName(SourceKind kind)
-{
-    switch (kind) {
-      case SourceKind::Synthetic: return "synthetic";
-      case SourceKind::Trace: return "trace";
-    }
-    return "synthetic";
-}
-
 bool
 parseScenario(const std::string &text, const std::string &base_dir,
               ScenarioSpec *out, std::string *error)
@@ -442,72 +432,6 @@ loadScenarioFile(const std::string &path, ScenarioSpec *out,
         return false;
     }
     return true;
-}
-
-std::string
-writeScenario(const ScenarioSpec &spec)
-{
-    JsonWriter w;
-    w.beginObject();
-    w.field("name", spec.name);
-    w.field("protocol", protocolShortName(spec.protocol));
-    if (spec.blocks)
-        w.field("blocks", spec.blocks);
-    w.field("seed", spec.seed);
-    w.field("duration", spec.duration);
-    w.field("warmup_completions", spec.warmupCompletions);
-    w.field("queue_capacity", spec.queueCapacity);
-    w.field("queue_policy", queuePolicyName(spec.queuePolicy));
-    w.field("session_depth", spec.sessionDepth);
-    w.key("tenants").beginArray();
-    for (const TenantSpec &tenant : spec.tenants) {
-        w.beginObject();
-        w.field("name", tenant.name);
-        if (tenant.source == SourceKind::Trace)
-            w.field("trace", tenant.tracePath);
-        w.field("mode", tenant.closedLoop ? "closed" : "open");
-        if (tenant.closedLoop) {
-            w.field("concurrency", tenant.concurrency);
-        } else {
-            w.field("arrival", arrivalProcessName(tenant.process));
-            if (tenant.rateCurve.empty()) {
-                w.field("rate", tenant.rate);
-            } else {
-                w.key("rate_curve").beginArray();
-                for (const RateCurve::Segment &segment :
-                     tenant.rateCurve) {
-                    w.beginObject();
-                    if (segment.untilCycle != kTickNever)
-                        w.field("until", segment.untilCycle);
-                    w.field("rate", segment.ratePerKilocycle);
-                    w.endObject();
-                }
-                w.endArray();
-            }
-            if (tenant.burstOffCycles) {
-                w.key("burst").beginObject();
-                w.field("on", tenant.burstOnCycles);
-                w.field("off", tenant.burstOffCycles);
-                w.endObject();
-            }
-        }
-        if (tenant.source == SourceKind::Synthetic) {
-            w.field("dist", keyDistName(tenant.dist));
-            if (tenant.dist == KeyDist::Zipf)
-                w.field("zipf_alpha", tenant.zipfAlpha);
-            if (tenant.scanFraction > 0.0) {
-                w.field("scan_fraction", tenant.scanFraction);
-                w.field("scan_length", tenant.scanLength);
-            }
-            w.field("write_fraction", tenant.writeFraction);
-        }
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    std::string text = w.str();
-    text.push_back('\n');
-    return text;
 }
 
 } // namespace palermo

@@ -12,9 +12,6 @@
  * combinations (a closed-loop rate curve, a Zipf trace) are errors
  * with a field path in the message — because a silently ignored knob
  * in an experiment spec produces a wrong paper figure, not a crash.
- *
- * writeScenario() renders the canonical form: parse-then-write is
- * idempotent (byte-stable), which is what the round-trip test pins.
  */
 
 #ifndef PALERMO_SCENARIO_SCENARIO_HH
@@ -108,9 +105,6 @@ bool parseScenario(const std::string &text, const std::string &base_dir,
 bool loadScenarioFile(const std::string &path, ScenarioSpec *out,
                       std::string *error);
 
-/** Render the canonical JSON form (ends with a newline). */
-std::string writeScenario(const ScenarioSpec &spec);
-
 /**
  * One load-sweep step: a copy of @p spec with every open-loop rate
  * (each rate-curve segment included) and every closed-loop concurrency
@@ -120,8 +114,6 @@ std::string writeScenario(const ScenarioSpec &spec);
  */
 bool scaledSpec(const ScenarioSpec &spec, double factor,
                 ScenarioSpec *out, std::string *error);
-
-const char *sourceKindName(SourceKind kind);
 
 } // namespace palermo
 

@@ -1,10 +1,9 @@
 /**
  * @file
- * Scenario driver plumbing shared by tools/palermo_scenario and
- * palermo_replay's --scenario mode (and unit-tested like run_cli):
- * flag parsing, the human-readable per-tenant table, and the
- * palermo-metrics-v1 document with the per-tenant "scenario" block,
- * for one run or for a --sweep of load factors.
+ * Scenario driver plumbing for tools/palermo_scenario (unit-tested
+ * like run_cli): flag parsing, the human-readable per-tenant table,
+ * and the palermo-metrics-v1 document with the per-tenant "scenario"
+ * block, for one run or for a --sweep of load factors.
  */
 
 #ifndef PALERMO_SCENARIO_SCENARIO_CLI_HH

@@ -60,13 +60,6 @@ BoundedRequestQueue::offer(const ServiceRequest &request)
     return Admission::Accepted;
 }
 
-const ServiceRequest &
-BoundedRequestQueue::front() const
-{
-    palermo_assert(!queue_.empty(), "front() on an empty request queue");
-    return queue_.front();
-}
-
 ServiceRequest
 BoundedRequestQueue::pop()
 {

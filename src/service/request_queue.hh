@@ -84,9 +84,6 @@ class BoundedRequestQueue
      */
     Admission offer(const ServiceRequest &request);
 
-    /** Oldest queued request; queue must be non-empty. */
-    const ServiceRequest &front() const;
-
     /** Remove and return the oldest queued request. */
     ServiceRequest pop();
 

@@ -13,8 +13,7 @@ namespace palermo {
 TenantDirectory::TenantDirectory(unsigned tenants,
                                  std::uint64_t num_blocks,
                                  std::uint64_t seed)
-    : tenants_(tenants), numBlocks_(num_blocks),
-      sliceSize_(tenants ? num_blocks / tenants : 0),
+    : tenants_(tenants), sliceSize_(tenants ? num_blocks / tenants : 0),
       hasher_(mix64(seed ^ 0x74656e616e747321ull))
 {
     palermo_assert(tenants >= 1, "need at least one tenant");
@@ -37,16 +36,6 @@ TenantDirectory::blockOf(unsigned tenant, std::uint64_t key) const
     const std::uint64_t input =
         key ^ mix64(static_cast<std::uint64_t>(tenant) + 1);
     return sliceBase(tenant) + hasher_.evalMod(input, sliceSize_);
-}
-
-BlockId
-TenantDirectory::blockOfKey(unsigned tenant,
-                            const std::string &key) const
-{
-    std::uint64_t h = 1469598103934665603ull; // FNV-1a offset basis.
-    for (char c : key)
-        h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
-    return blockOf(tenant, h);
 }
 
 bool

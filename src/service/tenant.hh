@@ -21,7 +21,6 @@
 #define PALERMO_SERVICE_TENANT_HH
 
 #include <cstdint>
-#include <string>
 
 #include "common/types.hh"
 #include "crypto/prf.hh"
@@ -41,9 +40,6 @@ class TenantDirectory
     TenantDirectory(unsigned tenants, std::uint64_t num_blocks,
                     std::uint64_t seed);
 
-    unsigned tenantCount() const { return tenants_; }
-    std::uint64_t totalBlocks() const { return numBlocks_; }
-
     /** Lines in every tenant's slice (identical by construction). */
     std::uint64_t sliceSize() const { return sliceSize_; }
 
@@ -57,15 +53,11 @@ class TenantDirectory
      */
     BlockId blockOf(unsigned tenant, std::uint64_t key) const;
 
-    /** String-key convenience: FNV-1a the text, then blockOf(). */
-    BlockId blockOfKey(unsigned tenant, const std::string &key) const;
-
     /** Does this line fall inside the tenant's slice? */
     bool owns(unsigned tenant, BlockId block) const;
 
   private:
     unsigned tenants_;
-    std::uint64_t numBlocks_;
     std::uint64_t sliceSize_;
     Prf hasher_;
 };

@@ -1,23 +1,15 @@
 /**
  * @file
- * Registry-backed experiment helpers. No protocol is named here: the
- * descriptors registered from each protocol's own translation unit
- * carry the construction logic, so this file stays closed to change
- * when a new protocol lands.
+ * Experiment helpers over SimSession. No protocol is named here: the
+ * session builds its controller through the protocol registry, so this
+ * file stays closed to change when a new protocol lands.
  */
 
 #include "sim/experiment.hh"
 
 #include "common/log.hh"
-#include "sim/protocol_registry.hh"
 
 namespace palermo {
-
-std::unique_ptr<Controller>
-makeController(ProtocolKind kind, const SystemConfig &config)
-{
-    return buildProtocolController(kind, config);
-}
 
 std::unique_ptr<Frontend>
 makeFrontend(Workload workload, const SystemConfig &config)

@@ -1,8 +1,9 @@
 /**
  * @file
  * Experiment conveniences over the protocol registry and SimSession:
- * build a controller / frontend / ready-to-run session for a design
- * point, or run one to completion in a single call.
+ * build a frontend / ready-to-run session for a design point, or run
+ * one to completion in a single call. The controller itself comes from
+ * buildProtocolController() (sim/protocol_registry.hh).
  */
 
 #ifndef PALERMO_SIM_EXPERIMENT_HH
@@ -10,20 +11,11 @@
 
 #include <memory>
 
-#include "controller/controller.hh"
 #include "sim/session.hh"
 #include "sim/system_config.hh"
 #include "trace/trace_gen.hh"
 
 namespace palermo {
-
-/**
- * Build the timing controller (with its protocol) for a design point.
- * Resolves the registered ProtocolDescriptor and applies its config
- * normalization before construction.
- */
-std::unique_ptr<Controller> makeController(ProtocolKind kind,
-                                           const SystemConfig &config);
 
 /** Build the standard LLC-miss frontend for (workload, config). */
 std::unique_ptr<Frontend> makeFrontend(Workload workload,

@@ -1,16 +1,16 @@
 /**
  * @file
- * Open protocol registry: the extension point that replaced the closed
- * enum-switch factory in experiment.cc.
+ * Open protocol registry: the one place a ProtocolKind becomes a
+ * controller.
  *
  * Each protocol describes itself with a ProtocolDescriptor — names,
  * Fig. 10 bar position, capability flags, a config-normalization hook,
  * and a controller builder — and registers it from its own translation
- * unit via a file-scope ProtocolRegistrar. Everything that used to
- * switch over ProtocolKind (makeController, protocolFromName,
- * protocolKindName, allProtocolKinds, the per-protocol config fixups)
- * is now a registry lookup, so adding a protocol is a one-file change:
- * implement the Protocol/Controller, append a registrar, done.
+ * unit via a file-scope ProtocolRegistrar. Controller construction
+ * (buildProtocolController), protocolFromName, protocolKindName,
+ * allProtocolKinds and the per-protocol config fixups are all registry
+ * lookups, so adding a protocol is a one-file change: implement the
+ * Protocol/Controller, append a registrar, done.
  *
  * Registration units are the top of the layering tower: a protocol's
  * .cc may include sim/ and controller/ headers to describe how it is
@@ -135,8 +135,8 @@ SystemConfig normalizedProtocolConfig(ProtocolKind kind,
 
 /**
  * Resolve a descriptor and build its controller from the normalized
- * configuration. The registry-backed replacement for the old
- * switch-based makeController.
+ * configuration. Every session, bench and tool builds its controller
+ * here.
  */
 std::unique_ptr<Controller>
 buildProtocolController(ProtocolKind kind, const SystemConfig &config);

@@ -261,10 +261,6 @@ parseReplayArgs(int argc, const char *const *argv,
             if (!cursor.value(&value))
                 return fail(error, "--trace needs a file path");
             result.tracePath = value;
-        } else if (name == "--scenario") {
-            if (!cursor.value(&value))
-                return fail(error, "--scenario needs a file path");
-            result.scenarioPath = value;
         } else if (name == "--protocol") {
             if (!cursor.value(&value))
                 return fail(error, "--protocol needs a name");
@@ -331,17 +327,13 @@ replayUsage()
 {
     std::ostringstream os;
     os << "usage: palermo_replay --trace FILE [options]\n"
-       << "       palermo_replay --scenario FILE [options]\n"
        << "\n"
-       << "Replay an external LLC-miss trace through a SimSession, or\n"
-       << "run a multi-tenant scenario file (see palermo_scenario).\n"
+       << "Replay an external LLC-miss trace through a SimSession.\n"
+       << "Multi-tenant scenario files run under palermo_scenario.\n"
        << "\n"
        << "options:\n"
        << "  --trace FILE      trace file ('R <line>' / 'W <line> "
           "[value]')\n"
-       << "  --scenario FILE   multi-tenant scenario JSON (excludes "
-          "--trace;\n"
-       << "                    honors only --sim-threads and --json)\n"
        << "  --protocol NAME   " << protocolTokens() << "\n"
        << "                    (default: palermo)\n"
        << "  --blocks N        protected 64B lines (default: 2^18)\n"

@@ -122,7 +122,6 @@ std::string runUsage();
 struct ReplayOptions
 {
     std::string tracePath;         ///< --trace FILE (required to run).
-    std::string scenarioPath;      ///< --scenario FILE (multi-tenant).
     ProtocolKind protocol = ProtocolKind::Palermo;
 
     bool paperGeometry = false;    ///< --paper: Table III 16 GB space.

@@ -160,7 +160,6 @@ class SimSession
 
     Controller &controller() { return *controller_; }
     const Controller &controller() const { return *controller_; }
-    DramSystem &dram() { return *dram_; }
     const SystemConfig &config() const { return config_; }
 
   private:

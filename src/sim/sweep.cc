@@ -149,14 +149,6 @@ SweepSpec::parse(const std::string &text, SweepSpec *spec,
     return true;
 }
 
-bool
-SweepSpec::empty() const
-{
-    return protocols.empty() && workloads.empty() && zsaPoints.empty()
-        && peColumns.empty() && channels.empty() && prefetchLens.empty()
-        && seeds.empty();
-}
-
 std::size_t
 SweepSpec::pointCount() const
 {

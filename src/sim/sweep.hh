@@ -88,9 +88,6 @@ struct SweepSpec
     static bool parse(const std::string &text, SweepSpec *spec,
                       std::string *error);
 
-    /** True if no axis names any value. */
-    bool empty() const;
-
     /** Number of points expand() will produce (>= 1). */
     std::size_t pointCount() const;
 
@@ -119,8 +116,6 @@ class SweepRunner
 
     /** Run every point to completion and collect the records. */
     std::vector<RunRecord> run(const std::vector<DesignPoint> &points) const;
-
-    unsigned jobs() const { return jobs_; }
 
   private:
     unsigned jobs_;

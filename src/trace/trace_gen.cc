@@ -29,8 +29,6 @@ class McfTrace : public TraceGen
     {
     }
 
-    const char *name() const override { return "mcf"; }
-
     TraceRecord next() override
     {
         const double roll = rng_.uniform();
@@ -71,8 +69,6 @@ class LbmTrace : public TraceGen
     {
     }
 
-    const char *name() const override { return "lbm"; }
-
     TraceRecord next() override
     {
         const unsigned which = phase_ % 3;
@@ -112,8 +108,6 @@ class PageRankTrace : public TraceGen
           zipf_(vertices_, 0.8, mix64(seed ^ 0x7072ull))
     {
     }
-
-    const char *name() const override { return "pr"; }
 
     TraceRecord next() override
     {
@@ -156,8 +150,6 @@ class MotifTrace : public TraceGen
     {
     }
 
-    const char *name() const override { return "motif"; }
-
     TraceRecord next() override
     {
         if (remaining_ == 0) {
@@ -191,8 +183,6 @@ class Dlrm1Trace : public TraceGen
     {
     }
 
-    const char *name() const override { return "rm1"; }
-
     TraceRecord next() override
     {
         const unsigned table = phase_ % tables_;
@@ -221,8 +211,6 @@ class Dlrm2Trace : public TraceGen
           zipf_(rows_, 1.2, mix64(seed ^ 0x3272ull))
     {
     }
-
-    const char *name() const override { return "rm2"; }
 
     TraceRecord next() override
     {
@@ -255,8 +243,6 @@ class LlmTrace : public TraceGen
           zipf_(vocab_, 1.0, mix64(seed ^ 0x6c6cull))
     {
     }
-
-    const char *name() const override { return "llm"; }
 
     TraceRecord next() override
     {
@@ -292,8 +278,6 @@ class RedisTrace : public TraceGen
     {
     }
 
-    const char *name() const override { return "redis"; }
-
     TraceRecord next() override
     {
         const std::uint64_t key = zipf_.sample();
@@ -313,8 +297,6 @@ class StreamTrace : public TraceGen
   public:
     StreamTrace(std::uint64_t n, std::uint64_t seed) : TraceGen(n, seed) {}
 
-    const char *name() const override { return "stream"; }
-
     TraceRecord next() override
     {
         const BlockId line = cursor_;
@@ -331,8 +313,6 @@ class RandomTrace : public TraceGen
 {
   public:
     RandomTrace(std::uint64_t n, std::uint64_t seed) : TraceGen(n, seed) {}
-
-    const char *name() const override { return "random"; }
 
     TraceRecord next() override
     {

@@ -38,9 +38,6 @@ class TraceGen
   public:
     virtual ~TraceGen() = default;
 
-    /** Workload short name (Table II). */
-    virtual const char *name() const = 0;
-
     /** Produce the next miss. */
     virtual TraceRecord next() = 0;
 

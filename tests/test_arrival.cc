@@ -23,7 +23,6 @@ TEST(ArrivalTest, NamesRoundTrip)
     EXPECT_TRUE(arrivalProcessFromName("fixed", &process));
     EXPECT_EQ(process, ArrivalProcess::Fixed);
     EXPECT_FALSE(arrivalProcessFromName("bursty", &process));
-    EXPECT_STREQ(arrivalProcessName(ArrivalProcess::Poisson), "poisson");
 
     KeyDist dist = KeyDist::Zipf;
     EXPECT_TRUE(keyDistFromName("uniform", &dist));
@@ -31,7 +30,6 @@ TEST(ArrivalTest, NamesRoundTrip)
     EXPECT_TRUE(keyDistFromName("zipf", &dist));
     EXPECT_EQ(dist, KeyDist::Zipf);
     EXPECT_FALSE(keyDistFromName("hot", &dist));
-    EXPECT_STREQ(keyDistName(KeyDist::Uniform), "uniform");
 }
 
 TEST(ArrivalTest, FixedGapConsumesNoRandomness)
@@ -99,8 +97,6 @@ TEST(ArrivalTest, ZipfTenantsDrawIndependentSequences)
 TEST(RateCurveTest, ConstantCurveInvertsExactly)
 {
     const RateCurve curve = RateCurve::constant(2.0);
-    EXPECT_DOUBLE_EQ(curve.rateAt(0.0), 2.0);
-    EXPECT_DOUBLE_EQ(curve.rateAt(1e9), 2.0);
     // rate 2/kilocycle = density 0.002; u = 1 -> gap 500 cycles.
     EXPECT_NEAR(curve.nextArrival(100.0, 1.0), 600.0, 1e-9);
 }

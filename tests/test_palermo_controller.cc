@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "controller/palermo_controller.hh"
-#include "controller/palermo_sw_controller.hh"
 #include "mem/dram_system.hh"
 
 namespace palermo {
@@ -193,8 +192,10 @@ TEST(PalermoSwController, CompletesAndIsSlowerThanHw)
     Tick hw_time;
     {
         DramSystem dram(tinyDram());
-        PalermoSwController controller(
-            std::make_unique<PalermoOram>(tinyConfig()), 8);
+        PalermoControllerConfig sw = meshConfig(8);
+        sw.swMode = true;
+        PalermoController controller(
+            std::make_unique<PalermoOram>(tinyConfig()), sw);
         sw_time = pump(controller, dram, 48);
         EXPECT_EQ(controller.stats().served, 48u);
     }

@@ -32,7 +32,9 @@ struct Harness
         const Leaf leaf = pm.get(block);
         const Leaf new_leaf = rng.range(params.numLeaves);
         pm.set(block, new_leaf);
-        return engine.access(block, leaf, new_leaf);
+        LevelPlan plan;
+        engine.accessInto(block, leaf, new_leaf, &plan);
+        return plan;
     }
 
     std::uint64_t read(BlockId block)
@@ -128,7 +130,8 @@ TEST(PathEngine, DummyAccessServesNothing)
     Harness h(256, 4);
     h.write(5, 55);
     const std::size_t occ_before = h.engine.stash().occupancy();
-    const LevelPlan plan = h.engine.dummyAccess(3);
+    LevelPlan plan;
+    h.engine.dummyAccessInto(3, &plan);
     EXPECT_FALSE(plan.freshBlock);
     // A dummy drains (or keeps) the stash; it never grows it.
     EXPECT_LE(h.engine.stash().occupancy(), occ_before);

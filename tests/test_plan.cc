@@ -32,16 +32,6 @@ TEST(Phase, EmptyPhase)
     EXPECT_EQ(phase.writeCount(), 0u);
 }
 
-TEST(PhaseKindName, AllNamed)
-{
-    for (PhaseKind kind :
-         {PhaseKind::LoadMeta, PhaseKind::ResetRead, PhaseKind::ResetWrite,
-          PhaseKind::ReadPath, PhaseKind::EvictRead,
-          PhaseKind::EvictWrite}) {
-        EXPECT_STRNE(phaseKindName(kind), "?");
-    }
-}
-
 TEST(LevelPlan, AggregatesOps)
 {
     LevelPlan plan;

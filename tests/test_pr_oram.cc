@@ -25,14 +25,6 @@ smallConfig(unsigned prefetch, bool fat_tree = false,
     return config;
 }
 
-TEST(PrOram, NameReflectsVariant)
-{
-    PrOram pr(smallConfig(4));
-    EXPECT_STREQ(pr.name(), "PrORAM");
-    PrOram la(smallConfig(4, true));
-    EXPECT_STREQ(la.name(), "LAORAM");
-}
-
 TEST(PrOram, ReadYourWritesNoPrefetch)
 {
     PrOram oram(smallConfig(1));

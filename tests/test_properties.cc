@@ -40,13 +40,14 @@ TEST_P(RingEngineProperty, ReadYourWritesAndInvariant)
     Rng rng(9);
     std::map<BlockId, std::uint64_t> shadow;
 
+    LevelPlan plan;
     for (int i = 0; i < 400; ++i) {
         const BlockId block = rng.range(blocks);
         const Leaf leaf = engine.inStash(block)
             ? rng.range(params.numLeaves) : pm.get(block);
         const Leaf new_leaf = rng.range(params.numLeaves);
         pm.set(block, new_leaf);
-        engine.access(block, leaf, new_leaf);
+        engine.accessInto(block, leaf, new_leaf, &plan);
         if (rng.chance(0.5)) {
             const std::uint64_t value = rng.next();
             engine.setPayload(block, value);
@@ -88,13 +89,14 @@ TEST_P(TreeSizeProperty, RingInvariantAcrossHeights)
     PosMap pm(blocks, params.numLeaves, 2);
     Rng rng(3);
     std::vector<BlockId> touched;
+    LevelPlan plan;
     for (int i = 0; i < 200; ++i) {
         const BlockId block = rng.range(blocks);
         const Leaf leaf = engine.inStash(block)
             ? rng.range(params.numLeaves) : pm.get(block);
         const Leaf new_leaf = rng.range(params.numLeaves);
         pm.set(block, new_leaf);
-        engine.access(block, leaf, new_leaf);
+        engine.accessInto(block, leaf, new_leaf, &plan);
         touched.push_back(block);
     }
     for (BlockId block : touched)
@@ -124,12 +126,13 @@ TEST_P(PathEngineProperty, ReadYourWritesAndBoundedStash)
     PosMap pm(blocks, params.numLeaves, 6);
     Rng rng(7);
     std::map<BlockId, std::uint64_t> shadow;
+    LevelPlan plan;
     for (int i = 0; i < 400; ++i) {
         const BlockId block = rng.range(blocks);
         const Leaf leaf = pm.get(block);
         const Leaf new_leaf = rng.range(params.numLeaves);
         pm.set(block, new_leaf);
-        engine.access(block, leaf, new_leaf);
+        engine.accessInto(block, leaf, new_leaf, &plan);
         if (rng.chance(0.5)) {
             const std::uint64_t value = rng.next();
             engine.setPayload(block, value);

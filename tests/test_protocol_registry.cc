@@ -149,10 +149,28 @@ TEST(ProtocolRegistry, BuildsAControllerForEveryKind)
 {
     const SystemConfig config = tinyConfig();
     for (ProtocolKind kind : allProtocolKinds()) {
-        const auto controller = makeController(kind, config);
+        const auto controller = buildProtocolController(kind, config);
         ASSERT_NE(controller, nullptr) << protocolKindName(kind);
         EXPECT_TRUE(controller->canAccept()) << protocolKindName(kind);
         EXPECT_TRUE(controller->idle()) << protocolKindName(kind);
+    }
+}
+
+TEST(ProtocolRegistry, EveryProtocolHonorsDecryptLatency)
+{
+    // SystemConfig::decryptLatency is reported in every point's config
+    // block, so every registered controller must run at it: a slower
+    // decrypt pipeline has to show up in the mean response latency.
+    // (Palermo-SW used to build from its own defaults and ignore it.)
+    SystemConfig fast = tinyConfig();
+    fast.totalRequests = 200;
+    SystemConfig slow = fast;
+    slow.decryptLatency = fast.decryptLatency + 200;
+    for (ProtocolKind kind : allProtocolKinds()) {
+        const RunMetrics base = runExperiment(kind, Workload::Random, fast);
+        const RunMetrics slowed = runExperiment(kind, Workload::Random, slow);
+        EXPECT_GT(slowed.latency.mean(), base.latency.mean())
+            << protocolKindName(kind);
     }
 }
 
@@ -242,10 +260,10 @@ TEST(ProtocolRegistry, ConstantRateCapabilityGatesConstruction)
             d.barOrder = 98;
             d.constantRateCapable = false;
             d.build = [](const SystemConfig &c) {
-                return makeController(ProtocolKind::Palermo, c);
+                return buildProtocolController(ProtocolKind::Palermo, c);
             };
             ProtocolRegistry::instance().add(std::move(d));
-            makeController(static_cast<ProtocolKind>(1001), config);
+            buildProtocolController(static_cast<ProtocolKind>(1001), config);
         },
         "constant-rate");
 }
@@ -258,7 +276,7 @@ TEST(ProtocolRegistry, RejectsDuplicateRegistration)
     duplicate.shortToken = "palermo2";
     duplicate.barOrder = 99;
     duplicate.build = [](const SystemConfig &config) {
-        return makeController(ProtocolKind::Palermo, config);
+        return buildProtocolController(ProtocolKind::Palermo, config);
     };
     EXPECT_DEATH(ProtocolRegistry::instance().add(duplicate),
                  "duplicate protocol kind");

@@ -103,7 +103,7 @@ TEST(RequestQueueTest, SequenceNumbersSurviveRejections)
     EXPECT_EQ(queue.offer(makeRequest(0, 2)), Admission::Accepted);
     // Rejected arrivals consume no sequence number: the FIFO witness
     // stays dense over accepted requests only.
-    EXPECT_EQ(queue.front().sequence, 1u);
+    EXPECT_EQ(queue.pop().sequence, 1u);
 }
 
 TEST(RequestQueueTest, HighWatermarkTracksDeepestOccupancy)

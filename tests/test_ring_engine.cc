@@ -37,7 +37,9 @@ struct Harness
             leaf = pm.get(block);
         const Leaf new_leaf = rng.range(params.numLeaves);
         pm.set(block, new_leaf);
-        return engine.access(block, leaf, new_leaf);
+        LevelPlan plan;
+        engine.accessInto(block, leaf, new_leaf, &plan);
+        return plan;
     }
 
     std::uint64_t read(BlockId block)

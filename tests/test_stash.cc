@@ -73,11 +73,13 @@ TEST(Stash, EligibleForFiltersByPath)
     // Block mapped to the last leaf shares only the root with path(0).
     stash.put(2, params.numLeaves - 1, 0);
 
-    const auto at_root = stash.eligibleFor(0, params, 10);
+    std::vector<BlockId> at_root;
+    stash.eligibleForInto(0, params, 10, kInvalid, &at_root);
     EXPECT_EQ(at_root.size(), 2u);
 
     const NodeId leaf0 = params.nodeAt(params.leafLevel(), 0);
-    const auto at_leaf = stash.eligibleFor(leaf0, params, 10);
+    std::vector<BlockId> at_leaf;
+    stash.eligibleForInto(leaf0, params, 10, kInvalid, &at_leaf);
     ASSERT_EQ(at_leaf.size(), 1u);
     EXPECT_EQ(at_leaf[0], 1u);
 }
@@ -88,8 +90,12 @@ TEST(Stash, EligibleForHonorsMaxAndExclude)
     Stash stash(64);
     for (BlockId b = 0; b < 8; ++b)
         stash.put(b, 0, 0);
-    EXPECT_EQ(stash.eligibleFor(0, params, 3).size(), 3u);
-    const auto without_5 = stash.eligibleFor(0, params, 8, 5);
+    std::vector<BlockId> out;
+    stash.eligibleForInto(0, params, 3, kInvalid, &out);
+    EXPECT_EQ(out.size(), 3u);
+    // The buffer is cleared first, so reuse does not accumulate.
+    std::vector<BlockId> without_5 = out;
+    stash.eligibleForInto(0, params, 8, 5, &without_5);
     EXPECT_EQ(without_5.size(), 7u);
     for (BlockId b : without_5)
         EXPECT_NE(b, 5u);

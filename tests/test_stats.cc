@@ -64,14 +64,6 @@ TEST(Histogram, MedianApproximation)
     EXPECT_NEAR(h.quantile(0.9), 90.0, 2.0);
 }
 
-TEST(Histogram, FractionAbove)
-{
-    Histogram h(1.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.sample(static_cast<double>(i));
-    EXPECT_NEAR(h.fractionAbove(49.9), 0.5, 0.03);
-}
-
 TEST(Histogram, ResetClearsEverything)
 {
     Histogram h(1.0, 4);
@@ -97,16 +89,6 @@ TEST(TimeWeighted, ResetClears)
     tw.accumulate(5.0, 2);
     tw.reset();
     EXPECT_DOUBLE_EQ(tw.mean(), 0.0);
-}
-
-TEST(StatSet, SetGetHas)
-{
-    StatSet set;
-    set.set("speedup", 2.8);
-    EXPECT_TRUE(set.has("speedup"));
-    EXPECT_FALSE(set.has("missing"));
-    EXPECT_DOUBLE_EQ(set.get("speedup"), 2.8);
-    EXPECT_NE(set.toString().find("speedup"), std::string::npos);
 }
 
 TEST(Geomean, MatchesHandComputation)

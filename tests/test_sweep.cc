@@ -85,7 +85,7 @@ TEST(SweepSpec, EmptySpecExpandsToBasePoint)
     SweepSpec spec;
     std::string error;
     ASSERT_TRUE(SweepSpec::parse("", &spec, &error));
-    EXPECT_TRUE(spec.empty());
+    EXPECT_EQ(spec.pointCount(), 1u);
     const auto points = spec.expand(ProtocolKind::RingOram,
                                     Workload::Mcf, tinyConfig());
     ASSERT_EQ(points.size(), 1u);

@@ -90,15 +90,5 @@ TEST(TenantDirectoryTest, KeysSpreadAcrossTheSlice)
     EXPECT_GT(blocks.size(), 500u);
 }
 
-TEST(TenantDirectoryTest, StringKeysResolveDeterministically)
-{
-    const TenantDirectory dir(2, 1 << 12, 3);
-    const BlockId first = dir.blockOfKey(1, "user:1234:profile");
-    EXPECT_EQ(dir.blockOfKey(1, "user:1234:profile"), first);
-    EXPECT_TRUE(dir.owns(1, first));
-    EXPECT_NE(dir.blockOfKey(1, "user:1234:profile"),
-              dir.blockOfKey(1, "user:1234:profilf"));
-}
-
 } // namespace
 } // namespace palermo

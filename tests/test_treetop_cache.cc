@@ -1,9 +1,12 @@
-/** @file Unit tests for tree-top cache sizing. */
+/**
+ * @file Unit tests for tree-top cache sizing: the level count
+ * cachedLevelsFor() pins on-chip for a byte budget.
+ */
 
 #include <gtest/gtest.h>
 
-#include "controller/treetop_cache.hh"
 #include "oram/hierarchy.hh"
+#include "oram/ring_oram.hh"
 
 namespace palermo {
 namespace {
@@ -11,20 +14,15 @@ namespace {
 TEST(TreetopCache, ZeroBudgetCachesNothing)
 {
     const OramParams params = OramParams::ring(1 << 12, 4, 5, 3);
-    const TreetopCache cache(params, 0);
-    EXPECT_EQ(cache.cachedLevels(), 0u);
-    EXPECT_EQ(cache.usedBytes(), 0u);
+    EXPECT_EQ(cachedLevelsFor(params, 0), 0u);
 }
 
 TEST(TreetopCache, BudgetForRootOnly)
 {
     const OramParams params = OramParams::ring(1 << 12, 4, 5, 3);
     // Root: (4+5) slots * 64B + 64B meta = 640 bytes.
-    const TreetopCache exact(params, 640);
-    EXPECT_EQ(exact.cachedLevels(), 1u);
-    EXPECT_EQ(exact.usedBytes(), 640u);
-    const TreetopCache short_of(params, 639);
-    EXPECT_EQ(short_of.cachedLevels(), 0u);
+    EXPECT_EQ(cachedLevelsFor(params, 640), 1u);
+    EXPECT_EQ(cachedLevelsFor(params, 639), 0u);
 }
 
 TEST(TreetopCache, LevelsGrowWithBudget)
@@ -32,38 +30,34 @@ TEST(TreetopCache, LevelsGrowWithBudget)
     const OramParams params = OramParams::ring(1 << 14, 16, 27, 20);
     unsigned previous = 0;
     for (std::uint64_t budget : {1024ull, 16384ull, 262144ull}) {
-        const TreetopCache cache(params, budget);
-        EXPECT_GE(cache.cachedLevels(), previous);
-        EXPECT_LE(cache.usedBytes(), budget);
-        previous = cache.cachedLevels();
+        const unsigned levels = cachedLevelsFor(params, budget);
+        EXPECT_GE(levels, previous);
+        previous = levels;
     }
     EXPECT_GT(previous, 0u);
-}
-
-TEST(TreetopCache, CoverageFraction)
-{
-    const OramParams params = OramParams::ring(1 << 12, 4, 5, 3);
-    const TreetopCache cache(params, 64 * 1024);
-    EXPECT_GT(cache.pathCoverage(), 0.0);
-    EXPECT_LE(cache.pathCoverage(), 1.0);
-    EXPECT_DOUBLE_EQ(cache.pathCoverage(),
-                     static_cast<double>(cache.cachedLevels())
-                         / params.levels);
 }
 
 TEST(TreetopCache, NeverExceedsTreeLevels)
 {
     const OramParams params = OramParams::ring(256, 4, 5, 3);
-    const TreetopCache cache(params, 1ull << 30);
-    EXPECT_LE(cache.cachedLevels(), params.levels);
+    EXPECT_LE(cachedLevelsFor(params, 1ull << 30), params.levels);
 }
 
 TEST(CachedLevelsFor, AgreesWithTreetopCache)
 {
-    const OramParams params = OramParams::ring(1 << 14, 16, 27, 20);
+    // Each tree's engine pins exactly the levels its byte budget buys.
     for (std::uint64_t budget : {0ull, 4096ull, 1048576ull}) {
-        EXPECT_EQ(cachedLevelsFor(params, budget),
-                  TreetopCache(params, budget).cachedLevels());
+        ProtocolConfig config;
+        config.numBlocks = 1 << 14;
+        config.treetopBytes = {budget, budget, budget};
+        config.prefill = false;
+        RingOram oram(config);
+        for (unsigned level = 0; level < kHierLevels; ++level) {
+            RingEngine &engine = oram.engine(level);
+            EXPECT_EQ(engine.cachedLevels(),
+                      cachedLevelsFor(engine.params(), budget))
+                << "budget " << budget << " level " << level;
+        }
     }
 }
 

@@ -23,13 +23,10 @@
 
 #include "common/log.hh"
 #include "common/wall_rate.hh"
-#include "scenario/engine.hh"
-#include "scenario/scenario.hh"
-#include "scenario/scenario_cli.hh"
-#include "sim/experiment.hh"
 #include "sim/metrics_json.hh"
 #include "sim/protocol_registry.hh"
 #include "sim/run_cli.hh"
+#include "sim/session.hh"
 #include "sim/sweep.hh"
 #include "sim/trace_file.hh"
 
@@ -72,48 +69,8 @@ main(int argc, char **argv)
         std::fputs(protocolListing().c_str(), stdout);
         return 0;
     }
-    if (!options.scenarioPath.empty() && !options.tracePath.empty()) {
-        std::fprintf(stderr,
-                     "palermo_replay: --trace and --scenario are "
-                     "mutually exclusive\n\n%s",
-                     replayUsage().c_str());
-        return 2;
-    }
-    if (!options.scenarioPath.empty()) {
-        // Scenario mode: delegate to the scenario engine; the replay
-        // flags that shape a single-trace session don't apply.
-        ScenarioSpec spec;
-        if (!loadScenarioFile(options.scenarioPath, &spec, &error)) {
-            std::fprintf(stderr, "palermo_replay: %s\n", error.c_str());
-            return 2;
-        }
-        ScenarioRunOptions run_options;
-        run_options.simThreads = options.simThreads;
-        ScenarioOutcome outcome;
-        if (!runScenario(spec, run_options, &outcome, &error)) {
-            std::fprintf(stderr, "palermo_replay: %s\n", error.c_str());
-            return 1;
-        }
-        std::FILE *table = options.jsonPath == "-" ? stderr : stdout;
-        std::fputs(scenarioTable(outcome).c_str(), table);
-        bool ok = true;
-        if (!options.jsonPath.empty())
-            ok = MetricsJson::writeFile(
-                options.jsonPath,
-                scenarioDocument(outcome, "palermo_replay"));
-        std::vector<std::string> problems;
-        if (!scenarioSanityCheck(outcome, &problems)) {
-            ok = false;
-            for (const std::string &problem : problems)
-                std::fprintf(stderr, "palermo_replay: SANITY: %s\n",
-                             problem.c_str());
-        }
-        return ok ? 0 : 1;
-    }
     if (options.tracePath.empty()) {
-        std::fprintf(stderr,
-                     "palermo_replay: --trace or --scenario is "
-                     "required\n\n%s",
+        std::fprintf(stderr, "palermo_replay: --trace is required\n\n%s",
                      replayUsage().c_str());
         return 2;
     }
