@@ -2,7 +2,7 @@
  * @file
  * Golden-file determinism gate for the simulator's hot path.
  *
- * Renders a fixed palermo + path-oram grid to a palermo-metrics-v1
+ * Renders a fixed grid over every protocol to a palermo-metrics-v1
  * document and byte-compares it against tests/golden/metrics_grid.json.
  * This pins the simulation cycle-exactly: any change to engine
  * ordering, stash iteration, DRAM scheduling, or JSON formatting shows
@@ -40,7 +40,11 @@ goldenPath()
     return std::string(PALERMO_SOURCE_DIR) + kGoldenRelPath;
 }
 
-/** The fixed grid: two protocols, two tree sizes, fixed seed. */
+/**
+ * The fixed grid, fixed seed: Palermo and PathORAM at two tree sizes,
+ * every other protocol at 2^12 blocks, and PrORAM once more with
+ * prefetching and LAORAM's fat tree.
+ */
 std::string
 renderGrid()
 {
@@ -48,12 +52,21 @@ renderGrid()
     {
         ProtocolKind kind;
         unsigned log2Blocks;
+        unsigned prefetchLen = 1;
+        bool fatTree = false;
     };
     const std::vector<GridPoint> grid = {
         {ProtocolKind::Palermo, 12},
         {ProtocolKind::Palermo, 14},
         {ProtocolKind::PathOram, 12},
         {ProtocolKind::PathOram, 14},
+        {ProtocolKind::RingOram, 12},
+        {ProtocolKind::PageOram, 12},
+        {ProtocolKind::PrOram, 12},
+        {ProtocolKind::IrOram, 12},
+        {ProtocolKind::PalermoSw, 12},
+        {ProtocolKind::PalermoPrefetch, 12},
+        {ProtocolKind::PrOram, 12, 4, true},
     };
 
     std::vector<RunRecord> records;
@@ -62,6 +75,8 @@ renderGrid()
         config.protocol.numBlocks = 1ull << point.log2Blocks;
         config.totalRequests = 600;
         config.seed = 1;
+        config.protocol.prefetchLen = point.prefetchLen;
+        config.protocol.fatTree = point.fatTree;
         config = normalizedProtocolConfig(point.kind, config);
 
         RunRecord record;
@@ -71,6 +86,9 @@ renderGrid()
         record.point.config = config;
         record.point.id = std::string(protocolShortName(point.kind))
             + "/b" + std::to_string(point.log2Blocks);
+        if (point.fatTree)
+            record.point.id += "/pf" + std::to_string(point.prefetchLen)
+                + "-fat";
         record.metrics =
             runExperiment(point.kind, Workload::Random, config);
         records.push_back(std::move(record));
