@@ -87,8 +87,8 @@ main(int argc, char **argv)
         best_pf[workload] = best;
     }
 
-    // The non-baseline bars, straight from the registry's Fig. 10
-    // order: adding a protocol to the registry adds its bar here.
+    // The non-baseline bars, straight from the protocol table's Fig. 10
+    // order: adding a protocol to the table adds its bar here.
     std::vector<ProtocolKind> bars;
     for (ProtocolKind kind : allProtocolKinds())
         if (kind != ProtocolKind::PathOram)

@@ -208,8 +208,8 @@ class Harness
         point.index = records_.size() + pending_.size();
         point.kind = kind;
         point.workload = workload;
-        // Record what will actually run (capability clamp + the
-        // descriptor's config-adjust hook), not the caller's copy.
+        // Record what will actually run (the protocol's prefetch
+        // rule applied), not the caller's copy.
         point.config = normalizedProtocolConfig(kind, config);
         point.id = id;
         point.allowStashOverflow = allow_stash_overflow;

@@ -53,7 +53,7 @@ class ObliviousKv
     const std::vector<Leaf> &observedLeaves() const { return leaves_; }
     std::uint64_t numLeaves() const
     {
-        return oram_.engine(kLevelData).params().numLeaves;
+        return oram_.hierarchy().dataLeaves();
     }
 
   private:

@@ -504,32 +504,6 @@ class FlatMap
     size_type size_ = 0;
 };
 
-/** Set view: FlatMap with an empty payload. */
-struct FlatSetUnit
-{
-};
-
-template <typename K, typename Hash = FlatHash<K>>
-class FlatSet
-{
-  public:
-    explicit FlatSet(PoolResource *pool = nullptr) : map_(pool) {}
-
-    std::size_t size() const { return map_.size(); }
-    bool empty() const { return map_.empty(); }
-    void clear() { map_.clear(); }
-    void reserve(std::size_t count) { map_.reserve(count); }
-    bool contains(const K &key) const { return map_.contains(key); }
-    std::size_t count(const K &key) const { return map_.count(key); }
-
-    /** @return true if the key was newly inserted. */
-    bool insert(const K &key) { return map_.emplace(key).second; }
-    std::size_t erase(const K &key) { return map_.erase(key); }
-
-  private:
-    FlatMap<K, FlatSetUnit, Hash> map_;
-};
-
 } // namespace palermo
 
 #endif // PALERMO_COMMON_FLAT_MAP_HH

@@ -6,9 +6,8 @@
  * objects (plan phases, path scratch vectors, stash map nodes, DRAM
  * queue chunks). These pools trade that churn for memory retained
  * across accesses: a segregated free-list resource backs the node
- * containers, and an object pool recycles whole LevelPlans with their
- * vector capacities intact. Nothing is returned to the OS before the
- * owning component is destroyed, which is exactly the lifetime of a
+ * containers. Nothing is returned to the OS before the owning
+ * component is destroyed, which is exactly the lifetime of a
  * SimSession.
  *
  * Thread safety: none, by ownership. Each PoolResource is owned by one
@@ -144,47 +143,6 @@ operator!=(const PoolAllocator<A> &a, const PoolAllocator<B> &b)
 {
     return !(a == b);
 }
-
-/**
- * LIFO free list of whole recycled objects. acquire() revives the most
- * recently released instance (its internal buffer capacities intact —
- * the point of pooling LevelPlans) or default-constructs a new one;
- * release() calls T::reset(), which must clear logical content while
- * keeping capacity. The pool owns every instance it ever created.
- */
-template <typename T>
-class ObjectPool
-{
-  public:
-    T *
-    acquire()
-    {
-        if (free_.empty()) {
-            all_.push_back(std::make_unique<T>());
-            return all_.back().get();
-        }
-        T *object = free_.back();
-        free_.pop_back();
-        return object;
-    }
-
-    void
-    release(T *object)
-    {
-        object->reset();
-        free_.push_back(object);
-    }
-
-    /** Instances ever constructed (steady state: stops growing). */
-    std::size_t totalCreated() const { return all_.size(); }
-
-    /** Instances currently on the free list. */
-    std::size_t freeCount() const { return free_.size(); }
-
-  private:
-    std::vector<std::unique_ptr<T>> all_;
-    std::vector<T *> free_;
-};
 
 } // namespace palermo
 

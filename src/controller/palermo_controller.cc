@@ -10,7 +10,6 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "sim/protocol_registry.hh"
 
 namespace palermo {
 
@@ -24,7 +23,7 @@ PalermoController::PalermoController(std::unique_ptr<PalermoOram> protocol,
     pes_.resize(config.columns);
     cols_.resize(config.columns);
     clearedThrough_ = {0, 0, 0};
-    stats_.leafSpace = protocol_->engine(kLevelData).params().numLeaves;
+    stats_.leafSpace = protocol_->hierarchy().dataLeaves();
 }
 
 bool
@@ -423,101 +422,5 @@ PalermoController::stashOf(unsigned level)
 {
     return protocol_->stashOf(level);
 }
-
-namespace {
-
-/**
- * Shared builder: all three Palermo bars drive the same PE mesh from
- * the config's mesh knobs and decrypt latency; Palermo-SW runs it in
- * software mode.
- */
-std::unique_ptr<Controller>
-buildPalermo(const SystemConfig &config, bool sw_mode)
-{
-    PalermoControllerConfig mesh = config.palermo;
-    mesh.swMode = sw_mode;
-    mesh.decryptLatency = config.decryptLatency;
-    return std::make_unique<PalermoController>(
-        std::make_unique<PalermoOram>(config.protocol), mesh);
-}
-
-std::unique_ptr<Controller>
-buildPalermoHw(const SystemConfig &config)
-{
-    return buildPalermo(config, false);
-}
-
-/**
- * Registry entry: Palermo-SW, the protocol-only 1.2x bar (paper
- * Fig. 10). It runs Algorithm 2 with coarse software synchronization
- * instead of the PE mesh: hierarchy levels execute sequentially within
- * a request (the mutex around the PosMap check kills intra-request
- * parallelism), and each tree's lock is held from the PosMap check
- * through ReadPath issue, so only the ReadPaths of consecutive
- * requests overlap. It isolates how much of Palermo's gain needs the
- * co-designed hardware.
- */
-ProtocolDescriptor
-palermoSwDescriptor()
-{
-    ProtocolDescriptor d;
-    d.kind = ProtocolKind::PalermoSw;
-    d.displayName = "Palermo-SW";
-    d.shortToken = "palermo-sw";
-    d.aliases = {"palermosw", "sw"};
-    d.barOrder = 5;
-    d.build = [](const SystemConfig &config) {
-        return buildPalermo(config, true);
-    };
-    return d;
-}
-
-/** Registry entry: the co-designed hardware controller (paper §V). */
-ProtocolDescriptor
-palermoDescriptor()
-{
-    ProtocolDescriptor d;
-    d.kind = ProtocolKind::Palermo;
-    d.displayName = "Palermo";
-    d.shortToken = "palermo";
-    d.barOrder = 6;
-    d.build = buildPalermoHw;
-    return d;
-}
-
-/**
- * Registry entry: Palermo with block-widening prefetch (Fig. 10's
- * rightmost bar). The adjust hook derives a usable prefetch length
- * when the caller left the no-prefetch default in place — before the
- * registry, this design point silently inherited whatever
- * config.protocol.prefetchLen happened to be, so "palermo-pf" with a
- * default config was indistinguishable from plain Palermo.
- */
-ProtocolDescriptor
-palermoPrefetchDescriptor()
-{
-    ProtocolDescriptor d;
-    d.kind = ProtocolKind::PalermoPrefetch;
-    d.displayName = "Palermo+Prefetch";
-    d.shortToken = "palermo-pf";
-    d.aliases = {"palermo-prefetch", "palermo+prefetch", "palermo+pf"};
-    d.barOrder = 7;
-    d.supportsPrefetch = true;
-    d.adjustConfig = [](SystemConfig &config) {
-        // Middle of the Fig. 10 PrORAM probe grid {2, 4, 8}, the
-        // paper's most common per-workload pick.
-        constexpr unsigned kDefaultPrefetchLen = 4;
-        if (config.protocol.prefetchLen <= 1)
-            config.protocol.prefetchLen = kDefaultPrefetchLen;
-    };
-    d.build = buildPalermoHw;
-    return d;
-}
-
-const ProtocolRegistrar palermoSwRegistrar{palermoSwDescriptor()};
-const ProtocolRegistrar palermoRegistrar{palermoDescriptor()};
-const ProtocolRegistrar prefetchRegistrar{palermoPrefetchDescriptor()};
-
-} // namespace
 
 } // namespace palermo

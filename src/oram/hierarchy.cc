@@ -1,7 +1,8 @@
 /**
  * @file
- * Per-level space derivation, tree-top budget split, and the LLC
- * prefetch-residency filter shared by every protocol.
+ * Per-level space derivation, tree-top budget split, the LLC
+ * prefetch-residency filter and the plan recycler shared by every
+ * protocol.
  */
 
 #include "oram/hierarchy.hh"
@@ -100,7 +101,21 @@ PlanRecycler::acquire(std::size_t levels)
     plan.dummy = false;
     plan.llcHit = false;
     plan.value = 0;
-    plan.levels.resize(levels);
+    // Resize by hand: resize() would free the dropped levels' op
+    // buffers and build the next longer plan's levels from scratch.
+    while (plan.levels.size() > levels) {
+        spareLevels_.push_back(std::move(plan.levels.back()));
+        plan.levels.pop_back();
+    }
+    plan.levels.reserve(levels);
+    while (plan.levels.size() < levels) {
+        if (spareLevels_.empty()) {
+            plan.levels.emplace_back();
+        } else {
+            plan.levels.push_back(std::move(spareLevels_.back()));
+            spareLevels_.pop_back();
+        }
+    }
     for (LevelPlan &level : plan.levels)
         level.reset();
     return plan;

@@ -13,13 +13,8 @@
 #ifndef PALERMO_ORAM_IR_ORAM_HH
 #define PALERMO_ORAM_IR_ORAM_HH
 
-#include <array>
-#include <memory>
-
-#include "common/rng.hh"
 #include "oram/hierarchy.hh"
 #include "oram/path_engine.hh"
-#include "oram/posmap.hh"
 
 namespace palermo {
 
@@ -45,24 +40,26 @@ class IrOram : public Protocol
     void accessInto(BlockId pa, bool write, std::uint64_t value,
                     std::vector<RequestPlan> *out) override;
 
-    Stash &stashOf(unsigned level) override;
-    std::uint64_t dataLeaves() const override
-    {
-        return engines_[kLevelData]->params().numLeaves;
-    }
+    Stash &stashOf(unsigned level) override { return hier_.stash(level); }
+    std::uint64_t dataLeaves() const override { return hier_.dataLeaves(); }
 
     const IrOramStats &irStats() const { return irStats_; }
-    PathEngine &engine(unsigned level) { return *engines_[level]; }
-    bool checkBlockInvariant(BlockId pa) const;
+    const Hierarchy<PathEngine> &hierarchy() const { return hier_; }
+
+    bool
+    checkBlockInvariant(BlockId pa) const
+    {
+        return hier_.dataInvariantHolds(pa);
+    }
 
   private:
+    /** Entries of the hardware table of tracked PosMap mappings. */
+    static constexpr std::size_t kTableEntries = 4096;
+
     /** True if the block verifiably resides on-chip right now. */
     bool residentOnChip(BlockId pa) const;
 
-    ProtocolConfig config_;
-    Rng rng_;
-    std::array<std::unique_ptr<PathEngine>, kHierLevels> engines_;
-    std::array<std::unique_ptr<PosMap>, kHierLevels> posMaps_;
+    Hierarchy<PathEngine> hier_;
     PrefetchFilter table_; ///< Bounded recency table of tracked PAs.
     IrOramStats irStats_;
 };

@@ -22,12 +22,9 @@
 #define PALERMO_ORAM_PALERMO_HH
 
 #include <array>
-#include <memory>
 
-#include "common/rng.hh"
 #include "oram/hierarchy.hh"
 #include "oram/level_engine.hh"
-#include "oram/posmap.hh"
 
 namespace palermo {
 
@@ -76,24 +73,19 @@ class PalermoOram
      */
     std::uint64_t finishData(BlockId pa, bool write, std::uint64_t value);
 
-    Stash &stashOf(unsigned level);
-    RingEngine &engine(unsigned level) { return *engines_[level]; }
-    const RingEngine &engine(unsigned level) const
-    {
-        return *engines_[level];
-    }
-    const PosMap &posMap(unsigned level) const { return *posMaps_[level]; }
-    std::uint64_t numBlocks() const { return config_.numBlocks; }
-    const ProtocolConfig &config() const { return config_; }
+    Stash &stashOf(unsigned level) { return hier_.stash(level); }
+    const Hierarchy<RingEngine> &hierarchy() const { return hier_; }
+    const ProtocolConfig &config() const { return hier_.config(); }
     const PalermoStats &palermoStats() const { return stats_; }
 
-    bool checkBlockInvariant(BlockId pa) const;
+    bool
+    checkBlockInvariant(BlockId pa) const
+    {
+        return hier_.dataInvariantHolds(decompose(pa)[kLevelData]);
+    }
 
   private:
-    ProtocolConfig config_;
-    Rng rng_;
-    std::array<std::unique_ptr<RingEngine>, kHierLevels> engines_;
-    std::array<std::unique_ptr<PosMap>, kHierLevels> posMaps_;
+    Hierarchy<RingEngine> hier_;
     PrefetchFilter filter_;
     PalermoStats stats_;
 };

@@ -6,56 +6,44 @@
 
 #include "oram/pr_oram.hh"
 
-#include "common/log.hh"
-#include "controller/serial_controller.hh"
-#include "sim/protocol_registry.hh"
-
 namespace palermo {
 
 PrOram::PrOram(const ProtocolConfig &config)
-    : config_(config), rng_(mix64(config.seed) ^ 0x50524f52ull),
-      filter_(config.llcResidentLines)
+    : hier_(config, {0x50524f52ull, 307, 733},
+            [&config](unsigned level, std::uint64_t blocks) {
+                OramParams params = OramParams::path(blocks, config.pathZ);
+                if (level != kLevelData)
+                    return LevelShape{params, config.stashCapacity};
+                if (config.fatTree)
+                    applyFatTree(params);
+                // Data-level defaults share a leaf per prefetch group —
+                // the "consecutive addresses to the same leaf" mapping.
+                return LevelShape{params, config.prStashCapacity,
+                                  config.prefetchLen};
+            },
+            [](const OramParams &params, Addr base, unsigned cached,
+               std::uint64_t seed, std::size_t stash_capacity) {
+                return std::make_unique<PathEngine>(
+                    params, base, cached, /*sibling_mode=*/false, seed,
+                    stash_capacity);
+            }),
+      filter_(kLlcResidentLines)
 {
-    palermo_assert(config.prefetchLen >= 1);
-    const auto blocks = config.levelBlocks();
-    Addr base = config.dramBase;
-    for (unsigned level = 0; level < kHierLevels; ++level) {
-        OramParams params =
-            OramParams::path(blocks[level], config.pathZ);
-        if (level == kLevelData && config.fatTree)
-            applyFatTree(params);
-        const unsigned cached =
-            cachedLevelsFor(params, config.treetopBytes[level]);
-        const std::size_t stash_cap = (level == kLevelData)
-            ? config.prStashCapacity : config.stashCapacity;
-        engines_[level] = std::make_unique<PathEngine>(
-            params, base, cached, /*sibling_mode=*/false,
-            mix64(config.seed + 307 * level), stash_cap);
-        // Data-level defaults share a leaf per prefetch group — the
-        // "consecutive addresses to the same leaf" mapping.
-        const unsigned group =
-            (level == kLevelData) ? config.prefetchLen : 1;
-        posMaps_[level] = std::make_unique<PosMap>(
-            blocks[level], params.numLeaves,
-            mix64(config.seed + 733 * level), group);
-        if (config.prefill && blocks[level] <= kPrefillLimit)
-            prefillEngine(*engines_[level], *posMaps_[level]);
-        base = engines_[level]->layout().endAddr();
-    }
 }
 
 std::size_t
 PrOram::dummyThreshold() const
 {
-    return engines_[kLevelData]->stash().capacity() * 3 / 4;
+    return hier_.engine(kLevelData).stash().capacity() * 3 / 4;
 }
 
 bool
 PrOram::prefetchActive() const
 {
-    if (config_.prefetchLen <= 1)
+    const ProtocolConfig &config = hier_.config();
+    if (config.prefetchLen <= 1)
         return false;
-    if (!config_.throttle)
+    if (!config.throttle)
         return true;
     // Dynamic throttle (paper §III-B): disable grouping while the recent
     // dummy-request ratio is high.
@@ -81,13 +69,15 @@ void
 PrOram::accessInto(BlockId pa, bool write, std::uint64_t value,
                    std::vector<RequestPlan> *out)
 {
+    const unsigned group = hier_.config().prefetchLen;
+    PathEngine &data = hier_.engine(kLevelData);
+
     // Prefetched lines are LLC-resident: the miss never reaches ORAM.
-    if (config_.prefetchLen > 1 && filter_.hit(pa)) {
+    if (group > 1 && filter_.hit(pa)) {
         RequestPlan hit = recycler_.acquire(0);
         hit.pa = pa;
         hit.write = write;
         hit.llcHit = true;
-        PathEngine &data = *engines_[kLevelData];
         // The line's block may still be in the stash; keep its payload
         // coherent for functional checks.
         if (write && data.inStash(pa))
@@ -97,19 +87,14 @@ PrOram::accessInto(BlockId pa, bool write, std::uint64_t value,
         return;
     }
 
-    PathEngine &data = *engines_[kLevelData];
-    PosMap &pm0 = *posMaps_[kLevelData];
-
     // Background evictions: drain stash pressure with dummy requests
     // before admitting the real one.
     unsigned injected = 0;
     while (data.stash().occupancy() > dummyThreshold() && injected < 8) {
         RequestPlan dummy = recycler_.acquire(1);
         dummy.dummy = true;
-        const Leaf random_leaf =
-            rng_.range(data.params().numLeaves);
         LevelPlan &level_plan = dummy.levels[0];
-        data.dummyAccessInto(random_leaf, &level_plan);
+        data.dummyAccessInto(hier_.randomLeaf(kLevelData), &level_plan);
         level_plan.level = kLevelData;
         ++prStats_.dummyRequests;
         recordPlan(true);
@@ -118,43 +103,29 @@ PrOram::accessInto(BlockId pa, bool write, std::uint64_t value,
     }
 
     const bool grouped = prefetchActive();
-    if (!grouped && config_.prefetchLen > 1)
+    if (!grouped && group > 1)
         ++prStats_.throttledAccesses;
 
     RequestPlan plan = recycler_.acquire(kHierLevels);
     plan.pa = pa;
     plan.write = write;
-
-    const auto ids = config_.decompose(pa);
-    std::size_t slot = 0;
-    for (unsigned level = kHierLevels; level-- > 1;) {
-        PathEngine &engine = *engines_[level];
-        PosMap &pm = *posMaps_[level];
-        const BlockId block = ids[level];
-        const Leaf leaf = pm.get(block);
-        const Leaf new_leaf = rng_.range(engine.params().numLeaves);
-        pm.set(block, new_leaf);
-        LevelPlan &level_plan = plan.levels[slot++];
-        engine.accessInto(block, leaf, new_leaf, &level_plan);
-        level_plan.level = level;
-    }
+    hier_.remapPosMapsInto(pa, &plan);
 
     // Data level with group semantics.
-    const Leaf leaf = pm0.get(pa);
-    const Leaf new_leaf = rng_.range(data.params().numLeaves);
-    pm0.set(pa, new_leaf);
-
-    LevelPlan &level_plan = plan.levels[slot];
+    LevelPlan &level_plan = plan.levels.back();
     if (grouped) {
         // Prefetch: every group sibling still sharing this leaf (the
         // throttle may have ungrouped some) is co-remapped onto the new
         // shared leaf inside the engine access, then marked resident.
+        PosMap &pm0 = hier_.posMap(kLevelData);
+        const Leaf leaf = pm0.get(pa);
+        const Leaf new_leaf = hier_.randomLeaf(kLevelData);
+        pm0.set(pa, new_leaf);
         membersScratch_.clear();
-        const BlockId group_base =
-            (pa / config_.prefetchLen) * config_.prefetchLen;
-        for (unsigned i = 0; i < config_.prefetchLen; ++i) {
+        const BlockId group_base = (pa / group) * group;
+        for (unsigned i = 0; i < group; ++i) {
             const BlockId member = group_base + i;
-            if (member >= config_.numBlocks || member == pa)
+            if (member >= hier_.config().numBlocks || member == pa)
                 continue;
             if (pm0.get(member) != leaf)
                 continue;
@@ -162,64 +133,20 @@ PrOram::accessInto(BlockId pa, bool write, std::uint64_t value,
         }
         data.accessGroupInto(pa, membersScratch_, leaf, new_leaf,
                              &level_plan);
+        level_plan.level = kLevelData;
         for (BlockId member : membersScratch_) {
             pm0.set(member, new_leaf);
             filter_.insert(member);
         }
         filter_.insert(pa);
     } else {
-        data.accessInto(pa, leaf, new_leaf, &level_plan);
+        hier_.remapInto(kLevelData, pa, &level_plan);
     }
-    level_plan.level = kLevelData;
 
-    if (write)
-        data.setPayload(pa, value);
-    plan.value = data.payloadOf(pa);
+    plan.value = hier_.serve(pa, write, value);
     ++prStats_.realRequests;
     recordPlan(false);
     out->push_back(std::move(plan));
 }
-
-Stash &
-PrOram::stashOf(unsigned level)
-{
-    palermo_assert(level < kHierLevels);
-    return engines_[level]->stash();
-}
-
-bool
-PrOram::checkBlockInvariant(BlockId pa) const
-{
-    return engines_[kLevelData]->satisfiesInvariant(
-        pa, posMaps_[kLevelData]->get(pa));
-}
-
-namespace {
-
-/**
- * Registry entry: PrORAM with Fat-Tree + throttle left to the caller (Fig. 10
- * setup); the only serial baseline that honors prefetchLen.
- */
-ProtocolDescriptor
-descriptor()
-{
-    ProtocolDescriptor d;
-    d.kind = ProtocolKind::PrOram;
-    d.displayName = "PrORAM";
-    d.shortToken = "pr";
-    d.aliases = {"proram"};
-    d.barOrder = 3;
-    d.supportsPrefetch = true;
-    d.build = [](const SystemConfig &config) {
-        return std::make_unique<SerialController>(
-            std::make_unique<PrOram>(config.protocol),
-            config.serialIssueWidth, 8, config.decryptLatency);
-    };
-    return d;
-}
-
-const ProtocolRegistrar registrar{descriptor()};
-
-} // namespace
 
 } // namespace palermo

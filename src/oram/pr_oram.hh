@@ -16,14 +16,10 @@
 #ifndef PALERMO_ORAM_PR_ORAM_HH
 #define PALERMO_ORAM_PR_ORAM_HH
 
-#include <array>
 #include <deque>
-#include <memory>
 
-#include "common/rng.hh"
 #include "oram/hierarchy.hh"
 #include "oram/path_engine.hh"
-#include "oram/posmap.hh"
 
 namespace palermo {
 
@@ -51,15 +47,17 @@ class PrOram : public Protocol
     void accessInto(BlockId pa, bool write, std::uint64_t value,
                     std::vector<RequestPlan> *out) override;
 
-    Stash &stashOf(unsigned level) override;
-    std::uint64_t dataLeaves() const override
-    {
-        return engines_[kLevelData]->params().numLeaves;
-    }
+    Stash &stashOf(unsigned level) override { return hier_.stash(level); }
+    std::uint64_t dataLeaves() const override { return hier_.dataLeaves(); }
 
     const PrOramStats &prStats() const { return prStats_; }
-    const PosMap &posMap(unsigned level) const { return *posMaps_[level]; }
-    bool checkBlockInvariant(BlockId pa) const;
+    const Hierarchy<PathEngine> &hierarchy() const { return hier_; }
+
+    bool
+    checkBlockInvariant(BlockId pa) const
+    {
+        return hier_.dataInvariantHolds(pa);
+    }
 
   private:
     /** Stash level above which dummy evictions are injected. */
@@ -69,10 +67,7 @@ class PrOram : public Protocol
     bool prefetchActive() const;
     void recordPlan(bool dummy);
 
-    ProtocolConfig config_;
-    Rng rng_;
-    std::array<std::unique_ptr<PathEngine>, kHierLevels> engines_;
-    std::array<std::unique_ptr<PosMap>, kHierLevels> posMaps_;
+    Hierarchy<PathEngine> hier_;
     PrefetchFilter filter_;
     std::deque<bool> window_; ///< Recent plans: true = dummy.
     std::vector<BlockId> membersScratch_; ///< Group-sibling staging.

@@ -7,13 +7,8 @@
 #ifndef PALERMO_ORAM_RING_ORAM_HH
 #define PALERMO_ORAM_RING_ORAM_HH
 
-#include <array>
-#include <memory>
-
-#include "common/rng.hh"
 #include "oram/hierarchy.hh"
 #include "oram/level_engine.hh"
-#include "oram/posmap.hh"
 
 namespace palermo {
 
@@ -26,23 +21,20 @@ class RingOram : public Protocol
     void accessInto(BlockId pa, bool write, std::uint64_t value,
                     std::vector<RequestPlan> *out) override;
 
-    Stash &stashOf(unsigned level) override;
-    std::uint64_t dataLeaves() const override
-    {
-        return engines_[kLevelData]->params().numLeaves;
-    }
+    Stash &stashOf(unsigned level) override { return hier_.stash(level); }
+    std::uint64_t dataLeaves() const override { return hier_.dataLeaves(); }
 
-    RingEngine &engine(unsigned level) { return *engines_[level]; }
-    const PosMap &posMap(unsigned level) const { return *posMaps_[level]; }
+    const Hierarchy<RingEngine> &hierarchy() const { return hier_; }
 
     /** Invariant check for one data block (tests). */
-    bool checkBlockInvariant(BlockId pa) const;
+    bool
+    checkBlockInvariant(BlockId pa) const
+    {
+        return hier_.dataInvariantHolds(pa);
+    }
 
   private:
-    ProtocolConfig config_;
-    Rng rng_;
-    std::array<std::unique_ptr<RingEngine>, kHierLevels> engines_;
-    std::array<std::unique_ptr<PosMap>, kHierLevels> posMaps_;
+    Hierarchy<RingEngine> hier_;
 };
 
 } // namespace palermo

@@ -321,7 +321,7 @@ scenarioUsage()
           "baselines\n"
        << "  --no-security       skip the merged-trace security "
           "gates\n"
-       << "  --list-protocols    print the protocol registry and "
+       << "  --list-protocols    print the protocol table and "
           "exit\n"
        << "  --help              this text\n"
        << "\n"

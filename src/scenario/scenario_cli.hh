@@ -26,7 +26,7 @@ struct ScenarioCliOptions
     unsigned simThreads = 1;    ///< --sim-threads N per session.
     bool noIsolation = false;   ///< --no-isolation: skip baselines.
     bool noSecurity = false;    ///< --no-security: skip the gates.
-    bool listProtocols = false; ///< --list-protocols (registry).
+    bool listProtocols = false; ///< --list-protocols (the table).
     bool help = false;          ///< --help / -h.
 
     /** Resolve engine options from the flags. */

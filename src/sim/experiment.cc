@@ -1,7 +1,7 @@
 /**
  * @file
  * Experiment helpers over SimSession. No protocol is named here: the
- * session builds its controller through the protocol registry, so this
+ * session builds its controller through the protocol table, so this
  * file stays closed to change when a new protocol lands.
  */
 

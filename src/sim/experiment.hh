@@ -1,6 +1,6 @@
 /**
  * @file
- * Experiment conveniences over the protocol registry and SimSession:
+ * Experiment conveniences over the protocol table and SimSession:
  * build a frontend / ready-to-run session for a design point, or run
  * one to completion in a single call. The controller itself comes from
  * buildProtocolController() (sim/protocol_registry.hh).

@@ -1,34 +1,25 @@
 /**
  * @file
- * Open protocol registry: the one place a ProtocolKind becomes a
+ * The protocol table: the one place a ProtocolKind becomes a
  * controller.
  *
- * Each protocol describes itself with a ProtocolDescriptor — names,
- * Fig. 10 bar position, capability flags, a config-normalization hook,
- * and a controller builder — and registers it from its own translation
- * unit via a file-scope ProtocolRegistrar. Controller construction
- * (buildProtocolController), protocolFromName, protocolKindName,
- * allProtocolKinds and the per-protocol config fixups are all registry
- * lookups, so adding a protocol is a one-file change: implement the
- * Protocol/Controller, append a registrar, done.
+ * One constant row per Fig. 10 bar, in bar order, holds a protocol's
+ * names, its prefetch rule and its controller builder. Name lookup
+ * (protocolFromName, protocolKindName, allProtocolKinds), config
+ * normalization and controller construction all read it. Adding a
+ * protocol means a ProtocolKind value, its Protocol/Controller
+ * implementation and one row in protocol_registry.cc.
  *
- * Registration units are the top of the layering tower: a protocol's
- * .cc may include sim/ and controller/ headers to describe how it is
- * driven, but nothing in sim/ names a concrete protocol type.
- *
- * Registrars run during static initialization, before main(); lookups
- * are read-only afterwards, so the registry needs no locking. The
- * library is linked as a CMake OBJECT library precisely so that no
- * registration TU can be dropped by static-archive dead stripping.
+ * The table is constant-initialized and never written, so sweep
+ * worker threads read it without locking.
  */
 
 #ifndef PALERMO_SIM_PROTOCOL_REGISTRY_HH
 #define PALERMO_SIM_PROTOCOL_REGISTRY_HH
 
-#include <functional>
+#include <array>
 #include <memory>
-#include <string>
-#include <vector>
+#include <span>
 
 #include "sim/system_config.hh"
 
@@ -37,106 +28,43 @@ namespace palermo {
 class Controller;
 
 /** Everything the experiment layer needs to know about one protocol. */
-struct ProtocolDescriptor
+struct ProtocolRow
 {
-    ProtocolKind kind = ProtocolKind::Palermo;
-
-    const char *displayName = nullptr; ///< Figure label ("PathORAM").
-    const char *shortToken = nullptr;  ///< CLI/JSON token ("path").
-    std::vector<std::string> aliases;  ///< Extra accepted spellings.
-
-    /** Position in the paper's Fig. 10 bar order (0-based, unique). */
-    unsigned barOrder = 0;
-
-    // Capability flags.
+    ProtocolKind kind;
+    const char *displayName; ///< Figure label ("PathORAM").
+    const char *shortToken;  ///< CLI/JSON token ("path").
+    /** Extra accepted spellings; unused slots are nullptr. */
+    std::array<const char *, 3> aliases;
     /**
-     * Honors ProtocolConfig::prefetchLen > 1. Protocols without this
-     * capability get prefetchLen pinned to 1 before construction (the
-     * clamp the old switch applied case by case).
+     * Prefetch rule. 0: the protocol does not prefetch, and
+     * ProtocolConfig::prefetchLen is pinned to 1. Otherwise it honors
+     * prefetchLen and runs at this length when the caller left it at
+     * the no-prefetch default (1, or 0).
      */
-    bool supportsPrefetch = false;
-    /** Can run under the §VI constant-rate/dummy-padding frontend. */
-    bool constantRateCapable = true;
-
-    /**
-     * Optional normalization applied to a copy of the SystemConfig
-     * before build() — e.g. Palermo+Prefetch derives a usable prefetch
-     * length when the caller left the no-prefetch default in place.
-     * Runs after the supportsPrefetch clamp.
-     */
-    std::function<void(SystemConfig &)> adjustConfig;
-
-    /** Build the timing controller for an (adjusted) configuration. */
-    std::function<std::unique_ptr<Controller>(const SystemConfig &)>
-        build;
+    unsigned defaultPrefetchLen;
+    /** Build the timing controller for a normalized configuration. */
+    std::unique_ptr<Controller> (*build)(const SystemConfig &config);
 };
 
-/** Process-wide descriptor table (populated at static-init time). */
-class ProtocolRegistry
-{
-  public:
-    static ProtocolRegistry &instance();
+/** Every row, in Fig. 10 bar order (ProtocolKind order). */
+std::span<const ProtocolRow> protocolTable();
 
-    /**
-     * Register a descriptor. Panics on duplicate kinds, names, tokens,
-     * aliases, or bar positions — collisions are programming errors
-     * and surface at process start, not mid-sweep.
-     */
-    void add(ProtocolDescriptor descriptor);
-
-    /** Descriptor of a kind; panics if the kind was never registered. */
-    const ProtocolDescriptor &at(ProtocolKind kind) const;
-
-    /** Descriptor of a kind, or nullptr. */
-    const ProtocolDescriptor *find(ProtocolKind kind) const;
-
-    /**
-     * Case-insensitive lookup by short token, display name, or alias.
-     * Returns nullptr on unknown names.
-     */
-    const ProtocolDescriptor *findByName(const std::string &name) const;
-
-    /** All descriptors in Fig. 10 bar order. */
-    std::vector<const ProtocolDescriptor *> all() const;
-
-    std::size_t size() const { return descriptors_.size(); }
-
-  private:
-    ProtocolRegistry() = default;
-
-    /** Stable storage: lookups hand out long-lived pointers. */
-    std::vector<std::unique_ptr<ProtocolDescriptor>> descriptors_;
-};
+/** The row of a kind. */
+const ProtocolRow &protocolRow(ProtocolKind kind);
 
 /**
- * File-scope self-registration hook:
- *
- *   namespace {
- *   const ProtocolRegistrar registerFoo{{ ... descriptor ... }};
- *   } // namespace
- */
-struct ProtocolRegistrar
-{
-    explicit ProtocolRegistrar(ProtocolDescriptor descriptor);
-};
-
-/**
- * Copy of `config` with the protocol's capability clamp (prefetchLen
- * pinned to 1 for non-prefetch designs) and its adjustConfig hook
- * applied — exactly what build() will see. Design-point producers
- * (sweep expansion, bench harness, replay) record this, so JSON
- * documents report the configuration that actually ran rather than
- * the one the caller happened to pass. Idempotent. Fatal when the
- * config asks for constant-rate issue but the protocol lacks the
- * capability.
+ * Copy of `config` with the protocol's prefetch rule applied — exactly
+ * what its builder will see. Design-point producers (sweep expansion,
+ * bench harness, replay) record this, so JSON documents report the
+ * configuration that actually ran rather than the one the caller
+ * happened to pass. Idempotent.
  */
 SystemConfig normalizedProtocolConfig(ProtocolKind kind,
                                       const SystemConfig &config);
 
 /**
- * Resolve a descriptor and build its controller from the normalized
- * configuration. Every session, bench and tool builds its controller
- * here.
+ * Build a kind's controller from the normalized configuration. Every
+ * session, bench and tool builds its controller here.
  */
 std::unique_ptr<Controller>
 buildProtocolController(ProtocolKind kind, const SystemConfig &config);

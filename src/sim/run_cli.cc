@@ -164,22 +164,17 @@ std::string
 protocolListing()
 {
     std::string out;
-    for (const ProtocolDescriptor *d :
-         ProtocolRegistry::instance().all()) {
+    for (const ProtocolRow &row : protocolTable()) {
         std::ostringstream line;
-        line << std::left << std::setw(14) << d->shortToken
-             << std::setw(20) << d->displayName;
-        std::string flags;
-        if (d->supportsPrefetch)
-            flags += "prefetch";
-        if (d->constantRateCapable)
-            flags += flags.empty() ? "constant-rate" : ",constant-rate";
-        line << std::setw(24) << (flags.empty() ? "-" : flags);
-        if (!d->aliases.empty()) {
-            line << "aliases: ";
-            for (std::size_t i = 0; i < d->aliases.size(); ++i)
-                line << (i ? ", " : "") << d->aliases[i];
-        }
+        line << std::left << std::setw(14) << row.shortToken
+             << std::setw(20) << row.displayName;
+        // Every protocol runs under the constant-rate frontend.
+        line << std::setw(24)
+             << (row.defaultPrefetchLen ? "prefetch,constant-rate"
+                                        : "constant-rate");
+        for (std::size_t i = 0; i < row.aliases.size(); ++i)
+            if (row.aliases[i] != nullptr)
+                line << (i ? ", " : "aliases: ") << row.aliases[i];
         std::string text = line.str();
         while (!text.empty() && text.back() == ' ')
             text.pop_back(); // Diff-stable: no trailing padding.
@@ -229,7 +224,7 @@ runUsage()
        << "  --json PATH       write palermo-metrics-v1 JSON "
           "('-' = stdout)\n"
        << "  --list            print the expanded grid and exit\n"
-       << "  --list-protocols  print the protocol registry and exit\n"
+       << "  --list-protocols  print the protocol table and exit\n"
        << "  --list-workloads  print workload names and exit\n"
        << "  --help            this text\n"
        << "\n"
@@ -348,7 +343,7 @@ replayUsage()
        << "                    byte-identical to serial; default: 1)\n"
        << "  --json PATH       write palermo-metrics-v1 JSON "
           "('-' = stdout)\n"
-       << "  --list-protocols  print the protocol registry and exit\n"
+       << "  --list-protocols  print the protocol table and exit\n"
        << "  --help            this text\n";
     return os.str();
 }

@@ -96,7 +96,7 @@ struct RunOptions
     unsigned jobs = 1;             ///< --jobs N worker threads.
     unsigned simThreads = 1;       ///< --sim-threads N per session.
     bool listPoints = false;       ///< --list: print grid, don't run.
-    bool listProtocols = false;    ///< --list-protocols (registry).
+    bool listProtocols = false;    ///< --list-protocols (the table).
     bool listWorkloads = false;    ///< --list-workloads.
     bool help = false;             ///< --help / -h.
 
@@ -133,7 +133,7 @@ struct ReplayOptions
     std::uint64_t progress = 0;    ///< --progress N (0 = off).
     unsigned simThreads = 1;       ///< --sim-threads N per session.
     std::string jsonPath;          ///< --json PATH ("-" = stdout).
-    bool listProtocols = false;    ///< --list-protocols (registry).
+    bool listProtocols = false;    ///< --list-protocols (the table).
     bool help = false;             ///< --help / -h.
 
     /**
@@ -151,8 +151,8 @@ bool parseReplayArgs(int argc, const char *const *argv,
 std::string replayUsage();
 
 /**
- * One line per registered protocol, in Fig. 10 bar order: short
- * token, display name, capability flags, accepted aliases. What
+ * One line per protocol, in Fig. 10 bar order: short token, display
+ * name, capability flags, accepted aliases. What
  * `palermo_run --list-protocols` prints.
  */
 std::string protocolListing();

@@ -99,7 +99,7 @@ class SimSession
     /**
      * Externally driven session: the caller injects traffic with
      * submit() and advances time with step().
-     * @param kind Protocol to instantiate (via the registry).
+     * @param kind Protocol to instantiate (via the protocol table).
      * @param config System parameters.
      */
     SimSession(ProtocolKind kind, const SystemConfig &config);

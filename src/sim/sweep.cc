@@ -231,8 +231,7 @@ SweepSpec::expand(ProtocolKind base_kind, Workload base_workload,
                                 point.config.seed = seed;
                                 point.config.protocol.seed = seed;
                                 // Record what will actually run: the
-                                // descriptor's capability clamp and
-                                // config-adjust hook applied.
+                                // protocol's prefetch rule applied.
                                 point.config = normalizedProtocolConfig(
                                     point.kind, point.config);
                                 point.id = id.str();

@@ -94,9 +94,8 @@ struct SweepSpec
     /**
      * Cross-product expansion against a base design point. A prefetch
      * value of 0 or 1 means "no prefetch"; values > 1 upgrade a plain
-     * Palermo base to Palermo+Prefetch (descriptors without the
-     * prefetch capability clamp prefetchLen to 1), mirroring the
-     * Fig. 13 sweep.
+     * Palermo base to Palermo+Prefetch (protocols that do not
+     * prefetch pin prefetchLen to 1), mirroring the Fig. 13 sweep.
      */
     std::vector<DesignPoint> expand(ProtocolKind base_kind,
                                     Workload base_workload,

@@ -11,51 +11,8 @@
 #include <sstream>
 
 #include "common/log.hh"
-#include "sim/protocol_registry.hh"
 
 namespace palermo {
-
-// The name functions are thin views over the protocol registry, so a
-// newly registered protocol shows up in every CLI parser, usage
-// string, and JSON document without touching this file.
-
-const char *
-protocolKindName(ProtocolKind kind)
-{
-    return ProtocolRegistry::instance().at(kind).displayName;
-}
-
-const char *
-protocolShortName(ProtocolKind kind)
-{
-    return ProtocolRegistry::instance().at(kind).shortToken;
-}
-
-const std::vector<ProtocolKind> &
-allProtocolKinds()
-{
-    // Materialized once, after static init: registration is complete
-    // by the time any experiment code can call this.
-    static const std::vector<ProtocolKind> kinds = [] {
-        std::vector<ProtocolKind> result;
-        for (const ProtocolDescriptor *descriptor :
-             ProtocolRegistry::instance().all())
-            result.push_back(descriptor->kind);
-        return result;
-    }();
-    return kinds;
-}
-
-bool
-protocolFromName(const std::string &name, ProtocolKind *kind)
-{
-    const ProtocolDescriptor *descriptor =
-        ProtocolRegistry::instance().findByName(name);
-    if (descriptor == nullptr)
-        return false;
-    *kind = descriptor->kind;
-    return true;
-}
 
 SystemConfig
 SystemConfig::benchDefault()

@@ -17,10 +17,9 @@
 namespace palermo {
 
 /**
- * Which end-to-end design to instantiate (Fig. 10 bars). The enum is
- * only an identity token: names, construction, and capabilities live
- * in the ProtocolDescriptor each protocol registers from its own
- * translation unit (see sim/protocol_registry.hh).
+ * Which end-to-end design to instantiate (Fig. 10 bars, in bar order).
+ * The enum is only an identity token: names, construction, and the
+ * prefetch rule live in the protocol table (sim/protocol_registry.hh).
  */
 enum class ProtocolKind
 {
@@ -34,7 +33,7 @@ enum class ProtocolKind
     PalermoPrefetch, ///< Palermo with PrORAM's chosen prefetch length.
 };
 
-// Name helpers below are thin views over the protocol registry.
+// Name helpers below read the protocol table (protocol_registry.cc).
 
 const char *protocolKindName(ProtocolKind kind);
 
@@ -42,8 +41,8 @@ const char *protocolKindName(ProtocolKind kind);
 const char *protocolShortName(ProtocolKind kind);
 
 /**
- * Parse a protocol name (short token, display name, or registered
- * alias; case-insensitive). Returns false on unknown names.
+ * Parse a protocol name (short token, display name, or alias;
+ * case-insensitive). Returns false on unknown names.
  */
 bool protocolFromName(const std::string &name, ProtocolKind *kind);
 

@@ -10,9 +10,9 @@
  * allocation (a by-value plan, a fresh scratch vector, an unpooled
  * map node) fails loudly.
  *
- * The workload is Stream over a small tree with a warmup long enough
- * to touch every block and grow every pool to its working-set size;
- * the measured segment is the back half.
+ * The workloads run over a small tree with a warmup long enough to
+ * touch every block and grow every pool to its working-set size; the
+ * measured segment is the back half.
  */
 
 #include <gtest/gtest.h>
@@ -33,15 +33,19 @@ namespace {
 
 /** Heap allocations per steady-state request, averaged. */
 double
-steadyStateAllocsPerRequest(ProtocolKind kind, unsigned sim_threads = 1)
+steadyStateAllocsPerRequest(ProtocolKind kind,
+                            Workload workload = Workload::Stream,
+                            unsigned prefetch_len = 1,
+                            unsigned sim_threads = 1)
 {
     SystemConfig config;
     config.protocol.numBlocks = 1ull << 11; // 2048 blocks.
+    config.protocol.prefetchLen = prefetch_len;
     config.totalRequests = 6000;            // Warmup 3000 > numBlocks.
     config.seed = 1;
     config.simThreads = sim_threads;
 
-    auto session = makeSession(kind, Workload::Stream, config);
+    auto session = makeSession(kind, workload, config);
     const std::uint64_t warmup_served = static_cast<std::uint64_t>(
         config.totalRequests * config.warmupFraction);
     while (!session->done() && session->served() < warmup_served)
@@ -60,9 +64,10 @@ steadyStateAllocsPerRequest(ProtocolKind kind, unsigned sim_threads = 1)
         ? 0.0
         : static_cast<double>(after - before)
             / static_cast<double>(requests);
-    std::printf("%-12s steady-state: %llu allocs / %llu requests "
-                "= %.3f per request\n",
-                protocolShortName(kind),
+    std::printf("%-12s %-7s pf%u steady-state: %llu allocs / %llu "
+                "requests = %.3f per request\n",
+                protocolShortName(kind), workloadName(workload),
+                prefetch_len,
                 static_cast<unsigned long long>(after - before),
                 static_cast<unsigned long long>(requests), per_request);
     return per_request;
@@ -87,8 +92,29 @@ TEST(AllocBudget, ParallelSteppingStaysPooled)
     // WorkerPool's threads are created at session construction (before
     // the measured segment) and its epoch dispatch is a raw function
     // pointer plus caller-owned context — zero heap traffic per cycle.
-    EXPECT_LE(
-        steadyStateAllocsPerRequest(ProtocolKind::Palermo, 2), 2.0);
+    EXPECT_LE(steadyStateAllocsPerRequest(ProtocolKind::Palermo,
+                                          Workload::Stream, 1, 2),
+              2.0);
+}
+
+TEST(AllocBudget, EveryProtocolStaysPooledOnRandom)
+{
+    // Random keys reach IR-ORAM's PosMap bypass, whose one-level plans
+    // recycle three-level ones, and its on-chip residency check. A
+    // steady-state access of any protocol allocates nothing.
+    for (ProtocolKind kind : allProtocolKinds())
+        EXPECT_LE(steadyStateAllocsPerRequest(kind, Workload::Random), 0.1)
+            << protocolShortName(kind);
+}
+
+TEST(AllocBudget, PrefetchingPrOramStaysPooled)
+{
+    // Prefetch hits make zero-level plans and background evictions make
+    // one-level plans; both recycle three-level plans and must hand
+    // their spare level buffers back instead of dropping them.
+    EXPECT_LE(steadyStateAllocsPerRequest(ProtocolKind::PrOram,
+                                          Workload::Mcf, 2),
+              0.1);
 }
 
 /**
@@ -178,7 +204,7 @@ TEST(AllocBudget, PrefillAllocatesPerTreeNotPerBlock)
     const PalermoOram oram(config);
     const unsigned long long allocs = heapAllocationCount() - before;
     std::printf("prefilled 2^18-block Palermo: %llu allocs\n", allocs);
-    EXPECT_EQ(oram.numBlocks(), config.numBlocks);
+    EXPECT_EQ(oram.config().numBlocks, config.numBlocks);
     EXPECT_LE(allocs, 256u);
 }
 

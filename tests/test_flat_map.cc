@@ -1,6 +1,6 @@
 /**
  * @file
- * FlatMap/FlatSet unit tests plus a randomized differential fuzz
+ * FlatMap unit tests plus a randomized differential fuzz
  * against std::unordered_map. The fuzz drives insert/erase/find/clear
  * through long churn phases so backward-shift deletion and rehash get
  * exercised at every load factor; the sanitizer CI jobs run this under
@@ -198,20 +198,6 @@ TEST(FlatMapTest, NonTrivialValueLifetimes)
         ASSERT_NE(v, nullptr);
         EXPECT_EQ((*v)[0], static_cast<char>('a' + i % 26));
     }
-}
-
-TEST(FlatSetTest, BasicOperations)
-{
-    FlatSet<std::uint64_t> set;
-    EXPECT_TRUE(set.insert(3));
-    EXPECT_FALSE(set.insert(3));
-    EXPECT_TRUE(set.insert(5));
-    EXPECT_EQ(set.size(), 2u);
-    EXPECT_TRUE(set.contains(3));
-    EXPECT_FALSE(set.contains(4));
-    EXPECT_EQ(set.erase(3), 1u);
-    EXPECT_EQ(set.erase(3), 0u);
-    EXPECT_FALSE(set.contains(3));
 }
 
 /**

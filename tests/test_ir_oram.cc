@@ -77,7 +77,7 @@ TEST(IrOram, InvariantMaintained)
 TEST(IrOram, MidTreeBucketsShrunk)
 {
     IrOram oram(smallConfig());
-    const auto &params = oram.engine(kLevelData).params();
+    const auto &params = oram.hierarchy().engine(kLevelData).params();
     EXPECT_LT(params.capacityAt(params.levels / 2), params.capacityAt(0));
 }
 

@@ -1,11 +1,10 @@
-/** @file Unit tests for hierarchical PageORAM. */
+/** @file Unit tests for hierarchical PageORAM (PathOram's Page variant). */
 
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "common/rng.hh"
-#include "oram/page_oram.hh"
 #include "oram/path_oram.hh"
 
 namespace palermo {
@@ -24,7 +23,7 @@ smallConfig()
 
 TEST(PageOram, ReadYourWrites)
 {
-    PageOram oram(smallConfig());
+    PathOram oram(smallConfig(), PathOram::Variant::Page);
     Rng rng(1);
     std::map<BlockId, std::uint64_t> shadow;
     for (int i = 0; i < 500; ++i) {
@@ -43,7 +42,7 @@ TEST(PageOram, ReadYourWrites)
 
 TEST(PageOram, InvariantMaintained)
 {
-    PageOram oram(smallConfig());
+    PathOram oram(smallConfig(), PathOram::Variant::Page);
     Rng rng(2);
     std::vector<BlockId> touched;
     for (int i = 0; i < 250; ++i) {
@@ -57,7 +56,7 @@ TEST(PageOram, InvariantMaintained)
 
 TEST(PageOram, StashesBounded)
 {
-    PageOram oram(smallConfig());
+    PathOram oram(smallConfig(), PathOram::Variant::Page);
     Rng rng(3);
     for (int i = 0; i < 1200; ++i)
         oram.access(rng.range(1 << 12), rng.chance(0.3), i);
@@ -72,7 +71,7 @@ TEST(PageOram, TrafficComparableToPathOram)
     // row-buffer locality, exercised in the integration/bench runs).
     ProtocolConfig config = smallConfig();
     config.numBlocks = 1 << 14;
-    PageOram page(config);
+    PathOram page(config, PathOram::Variant::Page);
     PathOram path(config);
     Rng rng(4);
     std::uint64_t page_ops = 0;
@@ -90,11 +89,12 @@ TEST(PageOram, TrafficComparableToPathOram)
 
 TEST(PageOram, SiblingSlotsReadWithPairSharedHeaders)
 {
-    PageOram oram(smallConfig());
+    PathOram oram(smallConfig(), PathOram::Variant::Page);
     const auto plans = oram.access(1, false, 0);
     const LevelPlan &data = plans[0].levels.back();
-    const auto &params = oram.engine(kLevelData).params();
-    const unsigned cached = oram.engine(kLevelData).cachedLevels();
+    const PathEngine &engine = oram.hierarchy().engine(kLevelData);
+    const auto &params = engine.params();
+    const unsigned cached = engine.cachedLevels();
     // Metadata lines: one per on-path node below the tree-top cache.
     EXPECT_EQ(data.find(PhaseKind::LoadMeta)->ops.size(),
               params.levels - cached);

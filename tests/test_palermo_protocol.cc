@@ -70,13 +70,13 @@ TEST(PalermoOram, PendingLeafIndependentOfPosMap)
     // by the previous access (which has not been exposed on the bus).
     PalermoOram oram(smallConfig());
     oram.beginLevel(kLevelData, 9);
-    const Leaf mapped = oram.posMap(kLevelData).get(9);
+    const Leaf mapped = oram.hierarchy().posMap(kLevelData).get(9);
     int same = 0;
     const int trials = 64;
     for (int i = 0; i < trials; ++i) {
         PalermoOram fresh(smallConfig());
         fresh.beginLevel(kLevelData, 9);
-        const Leaf mapped_now = fresh.posMap(kLevelData).get(9);
+        const Leaf mapped_now = fresh.hierarchy().posMap(kLevelData).get(9);
         const LevelPlan second = fresh.beginLevel(kLevelData, 9);
         same += (second.oldLeaf == mapped_now);
     }
@@ -138,10 +138,11 @@ TEST(PalermoOram, DecomposeMatchesFanout)
 TEST(PalermoOram, PrefetchWidensDataBlocks)
 {
     PalermoOram oram(smallConfig(4));
-    EXPECT_EQ(oram.engine(kLevelData).params().blockBytes, 256u);
-    EXPECT_EQ(oram.engine(kLevelData).params().numBlocks, (1u << 12) / 4);
+    const auto &hier = oram.hierarchy();
+    EXPECT_EQ(hier.engine(kLevelData).params().blockBytes, 256u);
+    EXPECT_EQ(hier.engine(kLevelData).params().numBlocks, (1u << 12) / 4);
     // PosMap trees unchanged (paper §V-C).
-    EXPECT_EQ(oram.engine(kLevelPos1).params().blockBytes, 64u);
+    EXPECT_EQ(hier.engine(kLevelPos1).params().blockBytes, 64u);
     const auto ids = oram.decompose(9);
     EXPECT_EQ(ids[kLevelData], 2u);
 }

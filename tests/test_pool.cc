@@ -165,60 +165,6 @@ TEST(PoolAllocator, EqualityMeansSameResource)
     EXPECT_TRUE(PoolAllocator<int>(&a) != PoolAllocator<int>(&b));
 }
 
-/** Object with observable reset semantics for ObjectPool tests. */
-struct Scratch
-{
-    std::vector<int> data;
-    int resets = 0;
-
-    void
-    reset()
-    {
-        data.clear();
-        ++resets;
-    }
-};
-
-TEST(ObjectPool, AcquireReleaseRecycles)
-{
-    ObjectPool<Scratch> pool;
-    Scratch *first = pool.acquire();
-    first->data.assign(100, 7);
-    pool.release(first);
-    EXPECT_EQ(pool.totalCreated(), 1u);
-    EXPECT_EQ(pool.freeCount(), 1u);
-
-    Scratch *again = pool.acquire();
-    EXPECT_EQ(again, first);
-    EXPECT_EQ(again->resets, 1);
-    // reset() cleared content but kept the buffer capacity.
-    EXPECT_TRUE(again->data.empty());
-    EXPECT_GE(again->data.capacity(), 100u);
-    pool.release(again);
-}
-
-TEST(ObjectPool, LifoOrderAndGrowth)
-{
-    ObjectPool<Scratch> pool;
-    Scratch *a = pool.acquire();
-    Scratch *b = pool.acquire();
-    Scratch *c = pool.acquire();
-    EXPECT_EQ(pool.totalCreated(), 3u);
-    pool.release(a);
-    pool.release(b);
-    EXPECT_EQ(pool.acquire(), b); // Most recently released first.
-    EXPECT_EQ(pool.acquire(), a);
-    EXPECT_EQ(pool.totalCreated(), 3u);
-    // All instances out: the next acquire constructs a fourth.
-    Scratch *d = pool.acquire();
-    EXPECT_EQ(pool.totalCreated(), 4u);
-    pool.release(a);
-    pool.release(b);
-    pool.release(c);
-    pool.release(d);
-    EXPECT_EQ(pool.freeCount(), 4u);
-}
-
 /**
  * Property sweep: a pseudo-random allocate/deallocate interleaving
  * with content checks. Under ASan this doubles as a no-double-free,

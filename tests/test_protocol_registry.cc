@@ -1,8 +1,7 @@
 /**
- * @file Unit tests for the self-registering protocol registry: name
- * resolution across tokens/display names/aliases, Fig. 10 bar order,
- * capability flags, and the config-normalization hooks that replaced
- * the factory switch.
+ * @file Unit tests for the protocol table: name resolution across
+ * tokens/display names/aliases, Fig. 10 bar order, the prefetch rule,
+ * and config normalization.
  */
 
 #include <gtest/gtest.h>
@@ -31,14 +30,13 @@ tinyConfig()
 
 TEST(ProtocolRegistry, AllEightDesignPointsRegistered)
 {
-    EXPECT_EQ(ProtocolRegistry::instance().size(), 8u);
+    EXPECT_EQ(protocolTable().size(), 8u);
     for (ProtocolKind kind : allProtocolKinds()) {
-        const ProtocolDescriptor *descriptor =
-            ProtocolRegistry::instance().find(kind);
-        ASSERT_NE(descriptor, nullptr);
-        EXPECT_NE(descriptor->displayName, nullptr);
-        EXPECT_NE(descriptor->shortToken, nullptr);
-        EXPECT_TRUE(static_cast<bool>(descriptor->build));
+        const ProtocolRow &row = protocolRow(kind);
+        EXPECT_EQ(row.kind, kind);
+        EXPECT_NE(row.displayName, nullptr);
+        EXPECT_NE(row.shortToken, nullptr);
+        EXPECT_NE(row.build, nullptr);
     }
 }
 
@@ -53,26 +51,29 @@ TEST(ProtocolRegistry, BarOrderMatchesFig10)
     };
     EXPECT_EQ(allProtocolKinds(), expected);
 
-    unsigned position = 0;
-    for (const ProtocolDescriptor *descriptor :
-         ProtocolRegistry::instance().all())
-        EXPECT_EQ(descriptor->barOrder, position++)
-            << descriptor->displayName;
+    std::size_t position = 0;
+    for (const ProtocolRow &row : protocolTable())
+        EXPECT_EQ(row.kind, expected[position++]) << row.displayName;
+}
+
+/** Every accepted spelling of a row. */
+std::vector<std::string>
+spellingsOf(const ProtocolRow &row)
+{
+    std::vector<std::string> spellings{row.displayName, row.shortToken};
+    for (const char *alias : row.aliases)
+        if (alias != nullptr)
+            spellings.push_back(alias);
+    return spellings;
 }
 
 TEST(ProtocolRegistry, ResolvesDisplayNameTokenAndAliases)
 {
-    for (const ProtocolDescriptor *descriptor :
-         ProtocolRegistry::instance().all()) {
-        std::vector<std::string> spellings{descriptor->displayName,
-                                           descriptor->shortToken};
-        for (const std::string &alias : descriptor->aliases)
-            spellings.push_back(alias);
-
-        for (const std::string &name : spellings) {
+    for (const ProtocolRow &row : protocolTable()) {
+        for (const std::string &name : spellingsOf(row)) {
             ProtocolKind kind = ProtocolKind::PathOram;
             EXPECT_TRUE(protocolFromName(name, &kind)) << name;
-            EXPECT_EQ(kind, descriptor->kind) << name;
+            EXPECT_EQ(kind, row.kind) << name;
 
             // Case-insensitive: uppercase every spelling too.
             std::string upper = name;
@@ -82,14 +83,15 @@ TEST(ProtocolRegistry, ResolvesDisplayNameTokenAndAliases)
                                    std::toupper(c));
                            });
             EXPECT_TRUE(protocolFromName(upper, &kind)) << upper;
-            EXPECT_EQ(kind, descriptor->kind) << upper;
+            EXPECT_EQ(kind, row.kind) << upper;
         }
     }
 }
 
 TEST(ProtocolRegistry, LegacyAliasesStillResolve)
 {
-    // Spellings the pre-registry parser accepted must keep working.
+    // Spellings the original factory-switch parser accepted must keep
+    // working.
     const struct
     {
         const char *name;
@@ -115,34 +117,38 @@ TEST(ProtocolRegistry, LegacyAliasesStillResolve)
     }
     ProtocolKind kind;
     EXPECT_FALSE(protocolFromName("quantum-oram", &kind));
-    EXPECT_EQ(ProtocolRegistry::instance().findByName("quantum-oram"),
-              nullptr);
 }
 
 TEST(ProtocolRegistry, NamesAndTokensAreUnique)
 {
+    // Case-insensitively, no spelling is shared by two protocols (a
+    // row's display name may equal its own alias, as "PathORAM" and
+    // "pathoram" do).
     std::set<std::string> seen;
-    for (const ProtocolDescriptor *descriptor :
-         ProtocolRegistry::instance().all()) {
-        EXPECT_TRUE(seen.insert(descriptor->displayName).second);
-        EXPECT_TRUE(seen.insert(descriptor->shortToken).second);
-        for (const std::string &alias : descriptor->aliases)
-            EXPECT_TRUE(seen.insert(alias).second) << alias;
+    for (const ProtocolRow &row : protocolTable()) {
+        std::set<std::string> own;
+        for (std::string name : spellingsOf(row)) {
+            std::transform(name.begin(), name.end(), name.begin(),
+                           [](unsigned char c) {
+                               return static_cast<char>(
+                                   std::tolower(c));
+                           });
+            own.insert(name);
+        }
+        for (const std::string &name : own)
+            EXPECT_TRUE(seen.insert(name).second) << name;
     }
 }
 
 TEST(ProtocolRegistry, CapabilityFlagsMatchTheDesigns)
 {
-    const ProtocolRegistry &registry = ProtocolRegistry::instance();
-    for (const ProtocolDescriptor *descriptor : registry.all()) {
-        const bool prefetching =
-            descriptor->kind == ProtocolKind::PrOram
-            || descriptor->kind == ProtocolKind::PalermoPrefetch;
-        EXPECT_EQ(descriptor->supportsPrefetch, prefetching)
-            << descriptor->displayName;
-        EXPECT_TRUE(descriptor->constantRateCapable)
-            << descriptor->displayName;
+    for (const ProtocolRow &row : protocolTable()) {
+        const bool prefetching = row.kind == ProtocolKind::PrOram
+            || row.kind == ProtocolKind::PalermoPrefetch;
+        EXPECT_EQ(row.defaultPrefetchLen != 0, prefetching)
+            << row.displayName;
     }
+    EXPECT_EQ(protocolRow(ProtocolKind::PrOram).defaultPrefetchLen, 1u);
 }
 
 TEST(ProtocolRegistry, BuildsAControllerForEveryKind)
@@ -194,22 +200,27 @@ TEST(ProtocolRegistry, NonPrefetchDescriptorsClampPrefetchLen)
 
 TEST(ProtocolRegistry, PalermoPrefetchDerivesAPrefetchLength)
 {
-    // Satellite fix: palermo-pf with the no-prefetch default used to
-    // silently degenerate to plain Palermo. The descriptor's adjust
-    // hook now derives a real prefetch length instead.
-    const ProtocolDescriptor &descriptor =
-        ProtocolRegistry::instance().at(ProtocolKind::PalermoPrefetch);
-    ASSERT_TRUE(static_cast<bool>(descriptor.adjustConfig));
-
+    // palermo-pf with the no-prefetch default used to silently
+    // degenerate to plain Palermo. Its prefetch rule now derives a
+    // real prefetch length instead.
     SystemConfig defaulted = tinyConfig();
-    descriptor.adjustConfig(defaulted);
-    EXPECT_GT(defaulted.protocol.prefetchLen, 1u);
+    EXPECT_GT(normalizedProtocolConfig(ProtocolKind::PalermoPrefetch,
+                                       defaulted)
+                  .protocol.prefetchLen,
+              1u);
+    defaulted.protocol.prefetchLen = 0;
+    EXPECT_GT(normalizedProtocolConfig(ProtocolKind::PalermoPrefetch,
+                                       defaulted)
+                  .protocol.prefetchLen,
+              1u);
 
     // An explicit choice is honored untouched.
     SystemConfig chosen = tinyConfig();
     chosen.protocol.prefetchLen = 8;
-    descriptor.adjustConfig(chosen);
-    EXPECT_EQ(chosen.protocol.prefetchLen, 8u);
+    EXPECT_EQ(normalizedProtocolConfig(ProtocolKind::PalermoPrefetch,
+                                       chosen)
+                  .protocol.prefetchLen,
+              8u);
 
     // End to end: a defaulted palermo-pf run now actually prefetches
     // (LLC hits can only come from widened fills).
@@ -243,49 +254,6 @@ TEST(ProtocolRegistry, NormalizedConfigIsWhatRecordsReport)
     ASSERT_EQ(points.size(), 2u);
     EXPECT_EQ(points[0].config.protocol.prefetchLen, 1u);
     EXPECT_EQ(points[1].config.protocol.prefetchLen, 8u);
-}
-
-TEST(ProtocolRegistry, ConstantRateCapabilityGatesConstruction)
-{
-    // A protocol that cannot pad with dummies must refuse the §VI
-    // constant-rate frontend instead of running it insecurely.
-    SystemConfig config = tinyConfig();
-    config.constantRate = true;
-    EXPECT_DEATH(
-        {
-            ProtocolDescriptor d;
-            d.kind = static_cast<ProtocolKind>(1001);
-            d.displayName = "NoDummyORAM";
-            d.shortToken = "nodummy";
-            d.barOrder = 98;
-            d.constantRateCapable = false;
-            d.build = [](const SystemConfig &c) {
-                return buildProtocolController(ProtocolKind::Palermo, c);
-            };
-            ProtocolRegistry::instance().add(std::move(d));
-            buildProtocolController(static_cast<ProtocolKind>(1001), config);
-        },
-        "constant-rate");
-}
-
-TEST(ProtocolRegistry, RejectsDuplicateRegistration)
-{
-    ProtocolDescriptor duplicate;
-    duplicate.kind = ProtocolKind::Palermo;
-    duplicate.displayName = "Palermo2";
-    duplicate.shortToken = "palermo2";
-    duplicate.barOrder = 99;
-    duplicate.build = [](const SystemConfig &config) {
-        return buildProtocolController(ProtocolKind::Palermo, config);
-    };
-    EXPECT_DEATH(ProtocolRegistry::instance().add(duplicate),
-                 "duplicate protocol kind");
-
-    ProtocolDescriptor clash = duplicate;
-    clash.kind = static_cast<ProtocolKind>(1000);
-    clash.displayName = "PathORAM"; // Name owned by the baseline.
-    EXPECT_DEATH(ProtocolRegistry::instance().add(clash),
-                 "registered twice");
 }
 
 } // namespace

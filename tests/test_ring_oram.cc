@@ -80,18 +80,20 @@ TEST(RingOram, AllStashesBounded)
 TEST(RingOram, PosMapSpacesShrinkByFanout)
 {
     RingOram oram(smallConfig());
-    EXPECT_EQ(oram.engine(kLevelData).params().numBlocks, 1u << 12);
-    EXPECT_EQ(oram.engine(kLevelPos1).params().numBlocks, 1u << 8);
-    EXPECT_EQ(oram.engine(kLevelPos2).params().numBlocks, 1u << 4);
+    const auto &hier = oram.hierarchy();
+    EXPECT_EQ(hier.engine(kLevelData).params().numBlocks, 1u << 12);
+    EXPECT_EQ(hier.engine(kLevelPos1).params().numBlocks, 1u << 8);
+    EXPECT_EQ(hier.engine(kLevelPos2).params().numBlocks, 1u << 4);
 }
 
 TEST(RingOram, DistinctAddressSpaces)
 {
     // The three trees must occupy disjoint DRAM regions.
     RingOram oram(smallConfig());
-    const auto &data = oram.engine(kLevelData).layout();
-    const auto &pos1 = oram.engine(kLevelPos1).layout();
-    const auto &pos2 = oram.engine(kLevelPos2).layout();
+    const auto &hier = oram.hierarchy();
+    const auto &data = hier.engine(kLevelData).layout();
+    const auto &pos1 = hier.engine(kLevelPos1).layout();
+    const auto &pos2 = hier.engine(kLevelPos2).layout();
     EXPECT_LE(data.endAddr(), pos1.base());
     EXPECT_LE(pos1.endAddr(), pos2.base());
 }

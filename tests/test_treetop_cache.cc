@@ -53,7 +53,7 @@ TEST(CachedLevelsFor, AgreesWithTreetopCache)
         config.prefill = false;
         RingOram oram(config);
         for (unsigned level = 0; level < kHierLevels; ++level) {
-            RingEngine &engine = oram.engine(level);
+            const RingEngine &engine = oram.hierarchy().engine(level);
             EXPECT_EQ(engine.cachedLevels(),
                       cachedLevelsFor(engine.params(), budget))
                 << "budget " << budget << " level " << level;
