@@ -9,6 +9,8 @@
 
 #include <algorithm>
 
+#include "common/log.hh"
+
 namespace palermo {
 
 PalermoOram::PalermoOram(const ProtocolConfig &config)
