@@ -10,9 +10,9 @@
  * never in the core library: linking it everywhere would silently
  * disable ASan's allocator interposition for every test.
  *
- * Counting is process-wide and thread-safe (relaxed atomics); the
- * counter only ever increases. Read deltas around the region of
- * interest.
+ * It counts calls and requested bytes. Counting is process-wide and
+ * thread-safe (relaxed atomics); the counters only ever increase. Read
+ * deltas around the region of interest.
  */
 
 #ifndef PALERMO_COMMON_ALLOC_COUNT_HH
@@ -27,11 +27,19 @@ namespace palermo {
 namespace alloc_count_detail {
 
 inline std::atomic<unsigned long long> g_allocations{0};
+inline std::atomic<unsigned long long> g_bytes{0};
+
+inline void
+count(std::size_t bytes)
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(bytes, std::memory_order_relaxed);
+}
 
 inline void *
 countedAllocate(std::size_t bytes)
 {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    count(bytes);
     if (bytes == 0)
         bytes = 1;
     void *p = std::malloc(bytes);
@@ -43,7 +51,7 @@ countedAllocate(std::size_t bytes)
 inline void *
 countedAllocateAligned(std::size_t bytes, std::size_t align)
 {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    count(bytes);
     if (bytes == 0)
         bytes = align;
     // aligned_alloc wants size as a multiple of alignment.
@@ -62,6 +70,13 @@ heapAllocationCount()
 {
     return alloc_count_detail::g_allocations.load(
         std::memory_order_relaxed);
+}
+
+/** Total bytes requested from operator new in this process so far. */
+inline unsigned long long
+heapAllocatedBytes()
+{
+    return alloc_count_detail::g_bytes.load(std::memory_order_relaxed);
 }
 
 } // namespace palermo

@@ -2,10 +2,12 @@
  * @file
  * The block-content record exchanged between buckets and the stash.
  *
- * Per-bucket functional state (slot valid bits, the access counter that
- * drives RingORAM's EarlyReshuffle) lives in TreeStore's
- * structure-of-arrays slot storage; oram/tree_store.hh documents the
- * slot-state encoding and exposes the bucket API.
+ * Per-bucket functional state (one 32-bit slot word per slot, the access
+ * counter that drives RingORAM's EarlyReshuffle) lives in TreeStore's
+ * structure-of-arrays storage, and so do the payload and leaf of each
+ * block in a slot, once per block. oram/tree_store.hh documents the
+ * slot word, the per-block record and the residency rule, and exposes
+ * the bucket API.
  */
 
 #ifndef PALERMO_ORAM_NODE_META_HH
@@ -25,8 +27,9 @@ struct BlockContent
     /**
      * The block's mapped leaf at the time it was written into the tree.
      * A block in a bucket is never remapped in place (remap happens on
-     * access, which moves it to the stash), so storing the leaf beside
-     * the payload is safe and lets eviction place blocks without another
+     * access, which moves it to the stash), so while the block sits in
+     * a bucket this equals its position-map leaf. TreeStore keeps it in
+     * the block's record, and eviction places blocks without another
      * position-map consultation.
      */
     Leaf leaf = 0;

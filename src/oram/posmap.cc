@@ -16,8 +16,10 @@ PosMap::PosMap(std::uint64_t num_blocks, std::uint64_t num_leaves,
 {
     palermo_assert(num_blocks > 0 && num_leaves > 0);
     palermo_assert(default_group >= 1);
-    if (num_blocks <= kDenseLimit)
-        dense_.assign(num_blocks, kInvalid);
+    if (num_blocks <= kDenseLimit) {
+        palermo_assert(num_leaves < kUntouched, "leaf beyond 32 bits");
+        dense_.assign(num_blocks, kUntouched);
+    }
 }
 
 } // namespace palermo

@@ -9,17 +9,19 @@
  * lower ones are content-stored inside PosMap ORAM blocks; this class
  * tracks the authoritative mapping the simulator validates against).
  *
- * Storage is hybrid: trees up to kDenseLimit blocks use a direct leaf
- * array (one load per get — the position map is consulted on every
- * access of every tree in the hierarchy), with kInvalid marking
- * never-touched entries; larger trees fall back to a flat
+ * Storage is hybrid: trees up to kDenseLimit blocks use a direct array
+ * of 32-bit leaves (one load per get — the position map is consulted
+ * on every access of every tree in the hierarchy), with kUntouched
+ * marking never-touched entries; larger trees fall back to a flat
  * open-addressing map so host memory stays proportional to the touched
- * working set.
+ * working set. The 32-bit rule is TreeStore's: every leaf count lies
+ * below the u32 sentinel (oram/tree_store.hh).
  */
 
 #ifndef PALERMO_ORAM_POSMAP_HH
 #define PALERMO_ORAM_POSMAP_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "common/flat_map.hh"
@@ -51,8 +53,8 @@ class PosMap
     {
         palermo_assert(block < numBlocks_, "posmap block out of range");
         if (!dense_.empty()) {
-            const Leaf leaf = dense_[block];
-            if (leaf != kInvalid)
+            const std::uint32_t leaf = dense_[block];
+            if (leaf != kUntouched)
                 return leaf;
         } else if (const Leaf *leaf = entries_.findValue(block)) {
             return *leaf;
@@ -67,8 +69,8 @@ class PosMap
         palermo_assert(block < numBlocks_);
         palermo_assert(leaf < numLeaves_);
         if (!dense_.empty()) {
-            denseTouched_ += dense_[block] == kInvalid;
-            dense_[block] = leaf;
+            denseTouched_ += dense_[block] == kUntouched;
+            dense_[block] = static_cast<std::uint32_t>(leaf);
         } else {
             entries_.insert_or_assign(block, leaf);
         }
@@ -85,16 +87,18 @@ class PosMap
     }
 
   private:
-    /** Largest tree stored densely: 4M blocks = a 32 MB leaf array. */
+    /** Largest tree stored densely: 4M blocks = a 16 MB leaf array. */
     static constexpr std::uint64_t kDenseLimit = std::uint64_t{1} << 22;
+    /** Dense entry never set: the PRF default applies. */
+    static constexpr std::uint32_t kUntouched = 0xFFFFFFFFu;
 
     std::uint64_t numBlocks_;
     std::uint64_t numLeaves_;
     Prf prf_;
     unsigned defaultGroup_;
     PoolResource pool_; ///< Declared before entries_ (destruction order).
-    /** Direct storage (small trees); kInvalid = untouched. */
-    std::vector<Leaf> dense_;
+    /** Direct storage (small trees); kUntouched = never set. */
+    std::vector<std::uint32_t> dense_;
     std::size_t denseTouched_ = 0;
     /** Flat-map fallback for beyond-kDenseLimit trees. */
     FlatMap<BlockId, Leaf> entries_;

@@ -18,6 +18,9 @@ TreeStore::TreeStore(const OramParams &params)
     : params_(params), tail_(&pool_)
 {
     params_.check();
+    palermo_assert(params_.numBlocks < kUsedWord &&
+                       params_.numLeaves < kNotResident,
+                   "tree exceeds 32-bit block ids or leaves");
     directLimit_ = std::min(params_.numNodes, kDirectNodes);
     direct_.assign(directLimit_, kNoBucket);
     levelCapacity_.resize(params_.levels);
@@ -38,9 +41,7 @@ TreeStore::materialize(NodeId id)
     level_.push_back(static_cast<std::uint8_t>(level));
     accessed_.push_back(0);
     slotBase_.push_back(slotBlock_.size());
-    slotBlock_.insert(slotBlock_.end(), slots, kDummySlot);
-    slotPayload_.insert(slotPayload_.end(), slots, 0);
-    slotLeaf_.insert(slotLeaf_.end(), slots, 0);
+    slotBlock_.insert(slotBlock_.end(), slots, kDummyWord);
 
     if (id < directLimit_)
         direct_[id] = index;
@@ -53,8 +54,8 @@ std::uint64_t
 TreeStore::totalValidBlocks() const
 {
     std::uint64_t total = 0;
-    for (const std::uint64_t block : slotBlock_)
-        total += block < kUsedSlot;
+    for (const std::uint32_t word : slotBlock_)
+        total += word < kUsedWord;
     return total;
 }
 
@@ -65,7 +66,8 @@ TreeStore::prefill(const PosMap &posmap, bool siblings)
     palermo_assert(posmap.numBlocks() == params_.numBlocks &&
                    posmap.numLeaves() == params_.numLeaves);
 
-    // Reservation rule (file comment): room for every bucket up front.
+    // Reservation rule (file comment): room for every bucket up front,
+    // and the dense per-block records.
     std::uint64_t tree_slots = 0;
     for (unsigned level = 0; level < params_.levels; ++level)
         tree_slots += (std::uint64_t{1} << level) * levelSlots_[level];
@@ -73,8 +75,7 @@ TreeStore::prefill(const PosMap &posmap, bool siblings)
     accessed_.reserve(params_.numNodes);
     slotBase_.reserve(params_.numNodes);
     slotBlock_.reserve(tree_slots);
-    slotPayload_.reserve(tree_slots);
-    slotLeaf_.reserve(tree_slots);
+    dense_.assign(params_.numBlocks, Resident{});
 
     // Per-level scratch indexed by position within the level, sized by
     // the leaf level and reused upward: bucket index and blocks placed.
@@ -100,9 +101,9 @@ TreeStore::prefill(const PosMap &posmap, bool siblings)
                 bucket[pos] = materialize(params_.nodeAt(level, pos));
             if (filled[pos] == capacity)
                 return false;
-            const std::uint64_t slot = slotBase_[bucket[pos]] + filled[pos]++;
-            slotBlock_[slot] = block;
-            slotLeaf_[slot] = leaf;
+            enter({block, 0, leaf});
+            slotBlock_[slotBase_[bucket[pos]] + filled[pos]++] =
+                static_cast<std::uint32_t>(block);
             return true;
         };
         const auto arrive = [&](BlockId block, Leaf leaf) {

@@ -8,20 +8,44 @@
  * Table III geometry constructible in O(touched paths) host memory.
  * Untouched buckets are, by definition, all-dummy and fresh.
  *
- * Layout: bucket state is split across parallel arrays rather than
+ * Slot words: bucket state is split across parallel arrays rather than
  * per-node heap objects. Each materialized bucket owns a contiguous
- * run of the shared slot arrays (slotBlock_/slotPayload_/slotLeaf_),
- * and one 64-bit word per slot encodes the full slot state:
+ * run of one shared array of 32-bit slot words (slotBlock_), and the
+ * word alone encodes the slot state:
  *
- *   slotBlock_[i] <  kUsedSlot  -- valid real block with that id
- *   slotBlock_[i] == kDummySlot -- untouched dummy (kInvalid)
- *   slotBlock_[i] == kUsedSlot  -- consumed (read this epoch)
+ *   slotBlock_[i] <  kUsedWord  -- valid real block with that id
+ *   slotBlock_[i] == kDummyWord -- untouched dummy
+ *   slotBlock_[i] == kUsedWord  -- consumed (read this epoch)
  *
  * so the per-access scans (slotOf, touchDummy, validRealCount,
- * needsReset) are branchy loops over one dense u64 array instead of
- * walks over Slot structs with separate valid flags. Node-id lookup is
- * a direct-index table for the hot top-of-tree ids (every path crosses
- * them) with a flat open-addressing map for the deep-tree tail.
+ * needsReset) are branchy loops over one dense u32 array. Bucket::slot
+ * widens a sentinel word to the public u64 kDummySlot / kUsedSlot.
+ * Node-id lookup is a direct-index table for the hot top-of-tree ids
+ * (every path crosses them) with a flat open-addressing map for the
+ * deep-tree tail.
+ *
+ * Per-block record: a Path ORAM bucket is Z (id, leaf, data) triples,
+ * but a real block sits in exactly one slot or in the stash, so the
+ * store keeps only the id per slot and each resident block's payload
+ * and leaf once, in a per-block record. The record is written when the
+ * block enters a slot (resetWith, tryPlace, prefill) and read when it
+ * leaves (takeReal, takeAllValidInto). A prefilled tree holds the
+ * records in a dense array of numBlocks entries, allocated by
+ * prefill(); any other tree holds them in a flat map keyed by block
+ * id whose entry is erased when the block leaves, so a lazily grown
+ * tree (the Table III audit) stays O(touched blocks). The store is
+ * dense exactly when prefill() ran.
+ *
+ * Residency rule: the record's leaf word doubles as the "not in a slot"
+ * marker (kNotResident in the dense array; no entry in the map). A
+ * block entering a slot while it sits in another slot of the same tree
+ * panics at the placement, which catches a duplicate where it is made
+ * rather than as a stale value on some later read.
+ *
+ * 32-bit bound: ids and leaves are stored in 32 bits. The largest space
+ * is Table III's 2^28 lines, and its largest tree has 2^27 leaves
+ * (PageORAM, Z = 2); the constructor asserts that numBlocks and
+ * numLeaves lie below the u32 sentinels.
  *
  * Bucket state is exposed through Bucket / ConstBucket views (plain
  * {store, index} pairs) that carry the old NodeMeta member API.
@@ -44,7 +68,7 @@
  * Reservation rule: prefill() reserves capacity for every bucket of the
  * tree before it starts. The reservation is address space only — pages
  * are touched as buckets materialize — and it means no later run-time
- * materialization reallocates (and so double-copies) the slot arrays.
+ * materialization reallocates (and so double-copies) the slot array.
  * Lazily built trees (no prefill) grow on demand as before.
  */
 
@@ -77,10 +101,10 @@ class TreeStore
 
     /**
      * Mutable view of one materialized bucket: the NodeMeta API over
-     * the store's slot arrays. Cheap to copy; valid until the store
-     * is destroyed (materializing other nodes does not invalidate the
-     * view's bucket index, only raw slot pointers, which the view does
-     * not hold).
+     * the store's slot words and per-block records. Cheap to copy;
+     * valid until the store is destroyed (materializing other nodes
+     * does not invalidate the view's bucket index, only raw slot
+     * pointers, which the view does not hold).
      */
     class Bucket
     {
@@ -109,11 +133,11 @@ class TreeStore
         unsigned
         validRealCount() const
         {
-            const std::uint64_t *block = slotBlocks();
+            const std::uint32_t *ids = slotBlocks();
             const unsigned n = slots();
             unsigned count = 0;
             for (unsigned i = 0; i < n; ++i)
-                count += block[i] < kUsedSlot;
+                count += ids[i] < kUsedWord;
             return count;
         }
 
@@ -121,10 +145,13 @@ class TreeStore
         int
         slotOf(BlockId block) const
         {
-            const std::uint64_t *ids = slotBlocks();
+            if (block >= kUsedWord)
+                return -1;
+            const auto word = static_cast<std::uint32_t>(block);
+            const std::uint32_t *ids = slotBlocks();
             const unsigned n = slots();
             for (unsigned i = 0; i < n; ++i) {
-                if (ids[i] == block)
+                if (ids[i] == word)
                     return static_cast<int>(i);
             }
             return -1;
@@ -139,13 +166,11 @@ class TreeStore
         takeReal(unsigned slot)
         {
             palermo_assert(slot < slots());
-            std::uint64_t *ids = slotBlocks();
-            palermo_assert(ids[slot] < kUsedSlot,
+            std::uint32_t *ids = slotBlocks();
+            palermo_assert(ids[slot] < kUsedWord,
                            "takeReal on used or dummy slot");
-            const std::uint64_t base = store_->slotBase_[index_];
-            BlockContent out{ids[slot], store_->slotPayload_[base + slot],
-                             store_->slotLeaf_[base + slot]};
-            ids[slot] = kUsedSlot;
+            const BlockContent out = store_->leave(ids[slot]);
+            ids[slot] = kUsedWord;
             ++store_->accessed_[index_];
             return out;
         }
@@ -163,19 +188,19 @@ class TreeStore
             // materializing it). One rng.range per candidate, in slot
             // order — this exact draw sequence is byte-determinism
             // load-bearing.
-            std::uint64_t *ids = slotBlocks();
+            std::uint32_t *ids = slotBlocks();
             const unsigned n = slots();
             int chosen = -1;
             unsigned seen = 0;
             for (unsigned i = 0; i < n; ++i) {
-                if (ids[i] != kDummySlot)
+                if (ids[i] != kDummyWord)
                     continue;
                 ++seen;
                 if (rng.range(seen) == 0)
                     chosen = static_cast<int>(i);
             }
             if (chosen >= 0) {
-                ids[chosen] = kUsedSlot;
+                ids[chosen] = kUsedWord;
                 ++store_->accessed_[index_];
             }
             return chosen;
@@ -198,50 +223,52 @@ class TreeStore
         takeAllValidInto(std::vector<BlockContent> *out)
         {
             out->clear();
-            std::uint64_t *ids = slotBlocks();
-            const std::uint64_t base = store_->slotBase_[index_];
+            std::uint32_t *ids = slotBlocks();
             const unsigned n = slots();
             for (unsigned i = 0; i < n; ++i) {
-                if (ids[i] < kUsedSlot) {
-                    out->push_back({ids[i], store_->slotPayload_[base + i],
-                                    store_->slotLeaf_[base + i]});
-                    ids[i] = kUsedSlot;
+                if (ids[i] < kUsedWord) {
+                    out->push_back(store_->leave(ids[i]));
+                    ids[i] = kUsedWord;
                 }
             }
         }
 
         /**
          * Rebuild the bucket with the given real blocks (<= capacity);
-         * all other slots become fresh dummies and counters clear.
+         * all other slots become fresh dummies and counters clear. A
+         * real block still in the bucket is dropped.
          */
         void
         resetWith(const std::vector<BlockContent> &blocks)
         {
             palermo_assert(blocks.size() <= capacity(),
                            "bucket overfilled on reset");
-            std::uint64_t *ids = slotBlocks();
-            const std::uint64_t base = store_->slotBase_[index_];
+            std::uint32_t *ids = slotBlocks();
             const unsigned n = slots();
-            for (unsigned i = 0; i < n; ++i)
-                ids[i] = kDummySlot;
+            for (unsigned i = 0; i < n; ++i) {
+                if (ids[i] < kUsedWord)
+                    store_->leave(ids[i]);
+                ids[i] = kDummyWord;
+            }
             for (std::size_t i = 0; i < blocks.size(); ++i) {
-                palermo_assert(blocks[i].block < kUsedSlot);
-                ids[i] = blocks[i].block;
-                store_->slotPayload_[base + i] = blocks[i].payload;
-                store_->slotLeaf_[base + i] = blocks[i].leaf;
+                store_->enter(blocks[i]);
+                ids[i] = static_cast<std::uint32_t>(blocks[i].block);
             }
             store_->accessed_[index_] = 0;
         }
 
         /** Raw state of one slot: block word (an id or a slot
-         *  sentinel), payload and leaf. */
+         *  sentinel), payload and leaf (0 for a sentinel). */
         BlockContent
         slot(unsigned i) const
         {
             palermo_assert(i < slots());
-            const std::uint64_t at = store_->slotBase_[index_] + i;
-            return {store_->slotBlock_[at], store_->slotPayload_[at],
-                    store_->slotLeaf_[at]};
+            const std::uint32_t word = slotBlocks()[i];
+            if (word == kDummyWord)
+                return {kDummySlot, 0, 0};
+            if (word == kUsedWord)
+                return {kUsedSlot, 0, 0};
+            return store_->resident(word);
         }
 
         /**
@@ -254,17 +281,14 @@ class TreeStore
         bool
         tryPlace(const BlockContent &content)
         {
-            palermo_assert(content.block < kUsedSlot);
             if (validRealCount() >= capacity())
                 return false;
-            std::uint64_t *ids = slotBlocks();
-            const std::uint64_t base = store_->slotBase_[index_];
+            std::uint32_t *ids = slotBlocks();
             const unsigned n = slots();
             for (unsigned i = 0; i < n; ++i) {
-                if (ids[i] == kDummySlot) {
-                    ids[i] = content.block;
-                    store_->slotPayload_[base + i] = content.payload;
-                    store_->slotLeaf_[base + i] = content.leaf;
+                if (ids[i] == kDummyWord) {
+                    store_->enter(content);
+                    ids[i] = static_cast<std::uint32_t>(content.block);
                     return true;
                 }
             }
@@ -275,17 +299,17 @@ class TreeStore
         bool
         needsReset() const
         {
-            const std::uint64_t *ids = slotBlocks();
+            const std::uint32_t *ids = slotBlocks();
             const unsigned n = slots();
             for (unsigned i = 0; i < n; ++i) {
-                if (ids[i] == kDummySlot)
+                if (ids[i] == kDummyWord)
                     return false;
             }
             return true;
         }
 
       private:
-        std::uint64_t *
+        std::uint32_t *
         slotBlocks() const
         {
             return store_->slotBlock_.data() + store_->slotBase_[index_];
@@ -367,7 +391,8 @@ class TreeStore
     /**
      * Bulk-load a never-touched tree with blocks [0, numBlocks), each
      * on its position-map leaf with payload 0 (see the file comment for
-     * the level-wise order and the reservation rule).
+     * the level-wise order, the dense per-block records and the
+     * reservation rule).
      * @param siblings PageORAM residence: a block that finds its path
      *        bucket full tries that bucket's sibling before climbing.
      * @return Blocks that fit in no bucket, in block-id order; the
@@ -382,6 +407,11 @@ class TreeStore
     friend class ConstBucket;
 
     static constexpr std::uint32_t kNoBucket = 0xFFFFFFFFu;
+    /** Slot words (file comment); every real id lies below both. */
+    static constexpr std::uint32_t kDummyWord = 0xFFFFFFFFu;
+    static constexpr std::uint32_t kUsedWord = 0xFFFFFFFEu;
+    /** Record leaf of a block that sits in no slot (residency rule). */
+    static constexpr std::uint32_t kNotResident = 0xFFFFFFFFu;
     /**
      * Nodes below this id resolve through the direct-index table (the
      * top ~18 tree levels — every path crosses them, so they are the
@@ -389,6 +419,13 @@ class TreeStore
      * caps the table at 1 MB per tree.
      */
     static constexpr std::uint64_t kDirectNodes = std::uint64_t{1} << 18;
+
+    /** Per-block record of a block in a slot (file comment). */
+    struct Resident
+    {
+        std::uint64_t payload = 0;
+        std::uint32_t leaf = kNotResident;
+    };
 
     std::uint32_t
     lookup(NodeId id) const
@@ -401,6 +438,54 @@ class TreeStore
     }
 
     std::uint32_t materialize(NodeId id);
+
+    /** Record a block entering a slot; panics if it already sits in
+     *  one (residency rule). */
+    void
+    enter(const BlockContent &content)
+    {
+        palermo_assert(content.block < kUsedWord &&
+                       content.leaf < kNotResident,
+                       "block id or leaf beyond 32 bits");
+        const auto block = static_cast<std::uint32_t>(content.block);
+        const Resident record{content.payload,
+                              static_cast<std::uint32_t>(content.leaf)};
+        if (!dense_.empty()) {
+            palermo_assert(block < dense_.size(), "block outside tree");
+            palermo_assert(dense_[block].leaf == kNotResident,
+                           "block already in a slot of this tree");
+            dense_[block] = record;
+        } else {
+            const bool inserted = lazy_.emplace(block, record).second;
+            palermo_assert(inserted, "block already in a slot of this tree");
+        }
+    }
+
+    /** Remove and return the record of a block leaving its slot. */
+    BlockContent
+    leave(std::uint32_t block)
+    {
+        if (!dense_.empty()) {
+            Resident &record = dense_[block];
+            const BlockContent out{block, record.payload, record.leaf};
+            record.leaf = kNotResident;
+            return out;
+        }
+        const auto it = lazy_.find(block);
+        palermo_assert(it != lazy_.end(), "slot block has no record");
+        const BlockContent out{block, it->second.payload, it->second.leaf};
+        lazy_.erase(it);
+        return out;
+    }
+
+    /** Content of a block that sits in a slot. */
+    BlockContent
+    resident(std::uint32_t block) const
+    {
+        const Resident &record =
+            dense_.empty() ? lazy_.at(block) : dense_[block];
+        return {block, record.payload, record.leaf};
+    }
 
     OramParams params_;
     PoolResource pool_; ///< Declared before tail_ (destruction order).
@@ -417,12 +502,17 @@ class TreeStore
     // Per-bucket state, indexed by bucket index.
     std::vector<std::uint8_t> level_;
     std::vector<std::uint32_t> accessed_;
-    std::vector<std::uint64_t> slotBase_; ///< First slot in slot arrays.
+    std::vector<std::uint64_t> slotBase_; ///< First slot in slotBlock_.
 
-    // Per-slot state, shared across buckets (see file comment).
-    std::vector<std::uint64_t> slotBlock_;
-    std::vector<std::uint64_t> slotPayload_;
-    std::vector<std::uint64_t> slotLeaf_;
+    /** Per-slot words, shared across buckets (see file comment). */
+    std::vector<std::uint32_t> slotBlock_;
+
+    // Per-block records (file comment): dense_ once prefilled, else
+    // lazy_ holds the resident blocks only. lazy_ is heap-backed, not
+    // pooled: its table only grows, so a pool would never reuse the
+    // tables it outgrows.
+    std::vector<Resident> dense_;
+    FlatMap<std::uint32_t, Resident> lazy_;
 };
 
 } // namespace palermo

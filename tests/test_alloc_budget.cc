@@ -208,6 +208,31 @@ TEST(AllocBudget, PrefillAllocatesPerTreeNotPerBlock)
     EXPECT_LE(allocs, 256u);
 }
 
+TEST(AllocBudget, PrefillHeapBytesPerTreeSlot)
+{
+    // A tree slot costs one 32-bit block id; payload and leaf are kept
+    // once per block, not per slot. Bound the bytes a prefilled
+    // 2^18-block Palermo requests per slot, summed over its three
+    // trees: a u64 id, payload and leaf in every slot would cost 27 B.
+    ProtocolConfig config;
+    config.numBlocks = 1ull << 18;
+    const unsigned long long before = heapAllocatedBytes();
+    const PalermoOram oram(config);
+    const unsigned long long bytes = heapAllocatedBytes() - before;
+    std::uint64_t slots = 0;
+    for (unsigned level = 0; level < kHierLevels; ++level) {
+        const OramParams &params = oram.hierarchy().engine(level).params();
+        for (unsigned depth = 0; depth < params.levels; ++depth)
+            slots += (std::uint64_t{1} << depth) * params.slotsAt(depth);
+    }
+    const double per_slot =
+        static_cast<double>(bytes) / static_cast<double>(slots);
+    std::printf("prefilled 2^18-block Palermo: %llu bytes / %llu slots "
+                "= %.2f B per slot\n",
+                bytes, static_cast<unsigned long long>(slots), per_slot);
+    EXPECT_LE(per_slot, 12.0);
+}
+
 TEST(AllocBudget, ChannelQueuesNeverReallocate)
 {
     // Both request queues are reserved to the queue depth at
