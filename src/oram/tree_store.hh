@@ -27,9 +27,9 @@
  * Per-block record: a Path ORAM bucket is Z (id, leaf, data) triples,
  * but a real block sits in exactly one slot or in the stash, so the
  * store keeps only the id per slot and each resident block's payload
- * and leaf once, in a per-block record. The record is written when the
- * block enters a slot (resetWith, tryPlace, prefill) and read when it
- * leaves (takeReal, takeAllValidInto). A prefilled tree holds the
+ * and leaf once, in a 12-B per-block record. The record is written when
+ * the block enters a slot (resetWith, tryPlace, prefill) and read when
+ * it leaves (takeReal, takeAllValidInto). A prefilled tree holds the
  * records in a dense array of numBlocks entries, allocated by
  * prefill(); any other tree holds them in a flat map keyed by block
  * id whose entry is erased when the block leaves, so a lazily grown
@@ -420,12 +420,27 @@ class TreeStore
      */
     static constexpr std::uint64_t kDirectNodes = std::uint64_t{1} << 18;
 
-    /** Per-block record of a block in a slot (file comment). */
+    /**
+     * Per-block record of a block in a slot (file comment), in 32-bit
+     * words so it takes 12 B with no padding, in the dense array and in
+     * the lazy map's entries alike.
+     */
     struct Resident
     {
-        std::uint64_t payload = 0;
+        std::uint32_t payloadLow = 0;
+        std::uint32_t payloadHigh = 0;
         std::uint32_t leaf = kNotResident;
     };
+    static_assert(sizeof(Resident) == 12);
+
+    /** The content of `block` that `record` holds. */
+    static BlockContent
+    unpack(std::uint32_t block, const Resident &record)
+    {
+        return {block,
+                (std::uint64_t{record.payloadHigh} << 32) | record.payloadLow,
+                record.leaf};
+    }
 
     std::uint32_t
     lookup(NodeId id) const
@@ -448,8 +463,10 @@ class TreeStore
                        content.leaf < kNotResident,
                        "block id or leaf beyond 32 bits");
         const auto block = static_cast<std::uint32_t>(content.block);
-        const Resident record{content.payload,
-                              static_cast<std::uint32_t>(content.leaf)};
+        const Resident record{
+            static_cast<std::uint32_t>(content.payload),
+            static_cast<std::uint32_t>(content.payload >> 32),
+            static_cast<std::uint32_t>(content.leaf)};
         if (!dense_.empty()) {
             palermo_assert(block < dense_.size(), "block outside tree");
             palermo_assert(dense_[block].leaf == kNotResident,
@@ -467,13 +484,13 @@ class TreeStore
     {
         if (!dense_.empty()) {
             Resident &record = dense_[block];
-            const BlockContent out{block, record.payload, record.leaf};
+            const BlockContent out = unpack(block, record);
             record.leaf = kNotResident;
             return out;
         }
         const auto it = lazy_.find(block);
         palermo_assert(it != lazy_.end(), "slot block has no record");
-        const BlockContent out{block, it->second.payload, it->second.leaf};
+        const BlockContent out = unpack(block, it->second);
         lazy_.erase(it);
         return out;
     }
@@ -482,9 +499,8 @@ class TreeStore
     BlockContent
     resident(std::uint32_t block) const
     {
-        const Resident &record =
-            dense_.empty() ? lazy_.at(block) : dense_[block];
-        return {block, record.payload, record.leaf};
+        return unpack(block,
+                      dense_.empty() ? lazy_.at(block) : dense_[block]);
     }
 
     OramParams params_;
