@@ -11,7 +11,7 @@
  * and reports host-side speed for the post-warmup segment: simulated
  * cycles/sec, requests/sec, heap allocations per request, and peak
  * RSS (per point: the kernel's high-water mark is reset before each
- * one). The simulated metrics go into the usual palermo-metrics-v1
+ * one after the first). The simulated metrics go into the usual palermo-metrics-v1
  * "points" records (so perf_compare can pin them exactly — they are
  * deterministic); the host-side numbers go into "derived" under
  * "speed.<id>.*" (they vary run to run and are gated with tolerance).
@@ -190,11 +190,20 @@ parseSpeedArgs(int argc, const char *const *argv, SpeedOptions *options,
 /**
  * Restart the kernel's peak-RSS mark (VmHWM) at the current RSS, so the
  * next peakRssMb() covers one design point rather than the process
- * lifetime. A no-op where /proc/self/clear_refs does not exist.
+ * lifetime. The first point needs no restart: the mark then covers only
+ * start-up, which holds less than any point. So a run of one point
+ * reads the kernel's mark without writing /proc/self/clear_refs, and a
+ * point run alone reads no heap that an earlier point freed. A no-op
+ * where /proc/self/clear_refs does not exist.
  */
 void
 resetPeakRss()
 {
+    static bool first = true;
+    if (first) {
+        first = false;
+        return;
+    }
     std::ofstream("/proc/self/clear_refs") << "5";
 }
 
