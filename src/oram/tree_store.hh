@@ -32,15 +32,19 @@
  * it leaves (takeReal, takeAllValidInto). A prefilled tree holds the
  * records in a dense array of numBlocks entries, allocated by
  * prefill(); any other tree holds them in a flat map keyed by block
- * id whose entry is erased when the block leaves, so a lazily grown
- * tree (the Table III audit) stays O(touched blocks). The store is
- * dense exactly when prefill() ran.
+ * id that gains an entry the first time a block enters a slot, so a
+ * lazily grown tree (the Table III audit) stays O(touched blocks). A
+ * leaving block keeps its entry: a block that has entered a slot is
+ * from then on in a slot or in the stash, so erasing would save at
+ * most a stash's worth of entries and would cost an erase and an
+ * insert for every block an access moves. The store is dense exactly
+ * when prefill() ran.
  *
  * Residency rule: the record's leaf word doubles as the "not in a slot"
- * marker (kNotResident in the dense array; no entry in the map). A
- * block entering a slot while it sits in another slot of the same tree
- * panics at the placement, which catches a duplicate where it is made
- * rather than as a stale value on some later read.
+ * marker (kNotResident). A block entering a slot while it sits in
+ * another slot of the same tree panics at the placement, which catches
+ * a duplicate where it is made rather than as a stale value on some
+ * later read.
  *
  * 32-bit bound: ids and leaves are stored in 32 bits. The largest space
  * is Table III's 2^28 lines, and its largest tree has 2^27 leaves
@@ -463,35 +467,24 @@ class TreeStore
                        content.leaf < kNotResident,
                        "block id or leaf beyond 32 bits");
         const auto block = static_cast<std::uint32_t>(content.block);
-        const Resident record{
-            static_cast<std::uint32_t>(content.payload),
-            static_cast<std::uint32_t>(content.payload >> 32),
-            static_cast<std::uint32_t>(content.leaf)};
-        if (!dense_.empty()) {
-            palermo_assert(block < dense_.size(), "block outside tree");
-            palermo_assert(dense_[block].leaf == kNotResident,
-                           "block already in a slot of this tree");
-            dense_[block] = record;
-        } else {
-            const bool inserted = lazy_.emplace(block, record).second;
-            palermo_assert(inserted, "block already in a slot of this tree");
-        }
+        palermo_assert(dense_.empty() || block < dense_.size(),
+                       "block outside tree");
+        Resident &record = dense_.empty() ? lazy_[block] : dense_[block];
+        palermo_assert(record.leaf == kNotResident,
+                       "block already in a slot of this tree");
+        record = {static_cast<std::uint32_t>(content.payload),
+                  static_cast<std::uint32_t>(content.payload >> 32),
+                  static_cast<std::uint32_t>(content.leaf)};
     }
 
-    /** Remove and return the record of a block leaving its slot. */
+    /** Return the record of a block leaving its slot, and mark the
+     *  block as in no slot. */
     BlockContent
     leave(std::uint32_t block)
     {
-        if (!dense_.empty()) {
-            Resident &record = dense_[block];
-            const BlockContent out = unpack(block, record);
-            record.leaf = kNotResident;
-            return out;
-        }
-        const auto it = lazy_.find(block);
-        palermo_assert(it != lazy_.end(), "slot block has no record");
-        const BlockContent out = unpack(block, it->second);
-        lazy_.erase(it);
+        Resident &record = dense_.empty() ? lazy_.at(block) : dense_[block];
+        const BlockContent out = unpack(block, record);
+        record.leaf = kNotResident;
         return out;
     }
 
@@ -524,9 +517,9 @@ class TreeStore
     std::vector<std::uint32_t> slotBlock_;
 
     // Per-block records (file comment): dense_ once prefilled, else
-    // lazy_ holds the resident blocks only. lazy_ is heap-backed, not
-    // pooled: its table only grows, so a pool would never reuse the
-    // tables it outgrows.
+    // lazy_ holds the blocks that have entered a slot. lazy_ is
+    // heap-backed, not pooled: its table only grows, so a pool would
+    // never reuse the tables it outgrows.
     std::vector<Resident> dense_;
     FlatMap<std::uint32_t, Resident> lazy_;
 };
