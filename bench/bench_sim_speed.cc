@@ -11,10 +11,11 @@
  * and reports host-side speed for the post-warmup segment: simulated
  * cycles/sec, requests/sec, heap allocations per request, and peak
  * RSS (per point: the kernel's high-water mark is reset before each
- * one after the first). The simulated metrics go into the usual palermo-metrics-v1
- * "points" records (so perf_compare can pin them exactly — they are
- * deterministic); the host-side numbers go into "derived" under
- * "speed.<id>.*" (they vary run to run and are gated with tolerance).
+ * one after the first). The simulated metrics go into the usual
+ * palermo-metrics-v1 "points" records (so perf_compare can pin them
+ * exactly — they are deterministic); the host-side numbers go into
+ * "derived" under "speed.<id>.*" (they vary run to run and are gated
+ * with tolerance).
  *
  * --before FILE imports the "speed.*" keys of an earlier document as
  * "before.speed.*" and adds "speedup.<id>" = after/before requests per
