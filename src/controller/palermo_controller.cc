@@ -8,6 +8,7 @@
 #include "controller/palermo_controller.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hh"
 
@@ -19,7 +20,8 @@ PalermoController::PalermoController(std::unique_ptr<PalermoOram> protocol,
       tagMap_(&pool_), inFlightBlocks_(&pool_)
 {
     palermo_assert(protocol_ != nullptr);
-    palermo_assert(config.columns >= 1);
+    palermo_assert(config.columns >= 1 && config.columns <= 64,
+                   "one ready-mask bit per PE column");
     pes_.resize(config.columns);
     cols_.resize(config.columns);
     clearedThrough_ = {0, 0, 0};
@@ -82,6 +84,7 @@ PalermoController::push(BlockId pa, bool write, std::uint64_t value,
         pe.outstanding = 0;
         pe.leafReadyAt = kTickNever;
         pe.cleared = false;
+        wake(col, level);
     }
     ++activeColumns_;
     maxActiveColumns_ = std::max(maxActiveColumns_, activeColumns_);
@@ -113,6 +116,7 @@ PalermoController::clearSibling(unsigned level, std::uint64_t gid)
     palermo_assert(clearedThrough_[level] == gid,
                    "sibling token passed out of order");
     clearedThrough_[level] = gid + 1;
+    wake(static_cast<unsigned>((gid + 1) % config_.columns), level);
 }
 
 void
@@ -246,7 +250,7 @@ PalermoController::stepPe(unsigned col, unsigned level, DramSystem &dram)
                     clearSibling(level, ctx.gid);
                     pe.cleared = true;
                     if (level == kLevelData)
-                        swGlobalCleared_ = ctx.gid + 1;
+                        releaseGlobal(ctx.gid);
                 }
                 pe.stage = PeStage::WaitRp;
                 break;
@@ -259,9 +263,10 @@ PalermoController::stepPe(unsigned col, unsigned level, DramSystem &dram)
                     pe.cleared = true;
                 }
                 if (config_.swMode && level == kLevelData)
-                    swGlobalCleared_ = ctx.gid + 1;
+                    releaseGlobal(ctx.gid);
                 pe.stage = PeStage::Finalized;
                 ctx.finalized[level] = true;
+                wakeParent(col, level);
                 break;
               default:
                 panic("unreachable issue stage");
@@ -297,6 +302,7 @@ PalermoController::stepPe(unsigned col, unsigned level, DramSystem &dram)
                 pe.stage = PeStage::Finalized;
                 ctx.finalized[level] = true;
             }
+            wakeParent(col, level);
             break;
 
           case PeStage::WaitEpRead:
@@ -306,6 +312,42 @@ PalermoController::stepPe(unsigned col, unsigned level, DramSystem &dram)
             break;
         }
     }
+}
+
+bool
+PalermoController::parked(unsigned col, unsigned level) const
+{
+    const PeState &pe = pes_[col][level];
+    const ColumnCtx &ctx = cols_[col];
+    switch (pe.stage) {
+      case PeStage::Idle:
+      case PeStage::Finalized:
+        return true;
+      case PeStage::WaitLeaf:
+        if (level == kLevelPos2)
+            return false; // PosMap3 lookup: a timer, not an event.
+        return config_.swMode ? !ctx.finalized[level + 1]
+                              : !ctx.rpDone[level + 1];
+      case PeStage::WaitSibling:
+        return (config_.swMode && swGlobalCleared_ != ctx.gid)
+            || clearedThrough_[level] != ctx.gid;
+      case PeStage::WaitLm:
+      case PeStage::WaitErRead:
+      case PeStage::WaitRp:
+      case PeStage::WaitEpRead:
+        return pe.outstanding > 0;
+      default:
+        return false; // Issue stages retry every cycle.
+    }
+}
+
+void
+PalermoController::releaseGlobal(std::uint64_t gid)
+{
+    swGlobalCleared_ = gid + 1;
+    // Any column's WaitSibling may be waiting on it.
+    const std::uint64_t all = ~std::uint64_t{0} >> (64 - config_.columns);
+    ready_.fill(all);
 }
 
 void
@@ -382,11 +424,15 @@ PalermoController::tick(DramSystem &dram)
     }
 
     // Step deepest levels first so leaf responses propagate north within
-    // the same cycle when timing allows.
+    // the same cycle when timing allows. Only ready PEs step; the mask
+    // is re-read after each step, which may wake a later column.
     for (unsigned level = kHierLevels; level-- > 0;) {
-        for (unsigned col = 0; col < config_.columns; ++col) {
-            if (cols_[col].busy)
-                stepPe(col, level, dram);
+        for (std::uint64_t left = ready_[level]; left != 0;) {
+            const unsigned col = static_cast<unsigned>(std::countr_zero(left));
+            stepPe(col, level, dram);
+            if (parked(col, level))
+                ready_[level] &= ~(std::uint64_t{1} << col);
+            left = ready_[level] & (~std::uint64_t{1} << col);
         }
     }
     tryRetire(now);
@@ -402,7 +448,8 @@ PalermoController::onCompletion(std::uint64_t tag)
     tagMap_.erase(it);
     PeState &pe = pes_[col][level];
     palermo_assert(pe.outstanding > 0, "completion without outstanding");
-    --pe.outstanding;
+    if (--pe.outstanding == 0)
+        wake(col, level);
 }
 
 bool

@@ -20,6 +20,27 @@
  * Requests retire in CommitHead order. The software-only variant
  * (Palermo-SW, paper Fig. 10) coarsens both dependencies: it is this
  * controller with PalermoControllerConfig::swMode set.
+ *
+ * Ready mask. Most PEs spend most cycles parked on an event: a DRAM
+ * read, the child level's leaf, or the sibling token. Each level keeps
+ * a 64-bit mask with one bit per column (so at most 64 columns), and
+ * tick() steps only the PEs whose bit is set, in the same order as a
+ * full sweep (levels deepest first, columns ascending). It re-reads the
+ * mask after every step, so a PE that an earlier step wakes still steps
+ * in the same cycle. A step that leaves its PE parked clears the bit:
+ * Idle or Finalized, WaitSibling, a Wait* stage with reads
+ * outstanding, or WaitLeaf on its child (PosMap2's WaitLeaf counts
+ * down the PosMap3 lookup, so it stays set). Every event that can
+ * unpark a PE sets its bit again:
+ *
+ *  - push(): the column's three PEs;
+ *  - onCompletion(): the PE whose last outstanding read returned;
+ *  - rpDone or finalized at a level: the PE one level up;
+ *  - clearSibling(level, gid): the PE of the column gid + 1 occupies;
+ *  - Palermo-SW's global CommitHead moving: every PE.
+ *
+ * Stepping a PE that cannot move changes nothing, so skipping it keeps
+ * every simulated cycle.
  */
 
 #ifndef PALERMO_CONTROLLER_PALERMO_CONTROLLER_HH
@@ -120,9 +141,24 @@ class PalermoController : public Controller
     Phase *issuingPhase(PeState &pe);
 
     void stepPe(unsigned col, unsigned level, DramSystem &dram);
+    /** True if PE (col, level) waits on an event that sets its ready
+     * bit; false if a later cycle alone can let it move. */
+    bool parked(unsigned col, unsigned level) const;
+    void wake(unsigned col, unsigned level)
+    {
+        ready_[level] |= std::uint64_t{1} << col;
+    }
+    /** Wake the PE one level up, whose WaitLeaf waits on `level`. */
+    void wakeParent(unsigned col, unsigned level)
+    {
+        if (level > 0)
+            wake(col, level - 1);
+    }
     void issueOps(unsigned col, unsigned level, PeState &pe,
                   DramSystem &dram);
     void clearSibling(unsigned level, std::uint64_t gid);
+    /** Palermo-SW: request `gid` releases the global CommitHead. */
+    void releaseGlobal(std::uint64_t gid);
     void tryRetire(Tick now);
 
     std::unique_ptr<PalermoOram> protocol_;
@@ -130,6 +166,9 @@ class PalermoController : public Controller
 
     std::vector<std::array<PeState, kHierLevels>> pes_; ///< [col][level]
     std::vector<ColumnCtx> cols_;
+    /** Per level, bit `col` set unless PE (col, level) is parked (see
+     * the file comment). */
+    std::array<std::uint64_t, kHierLevels> ready_{};
 
     std::uint64_t nextGid_ = 0;
     std::uint64_t commitHead_ = 0;

@@ -8,10 +8,40 @@
 #include "mem/channel.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hh"
 
 namespace palermo {
+
+namespace {
+
+constexpr std::uint64_t
+bankBit(unsigned bank)
+{
+    return std::uint64_t{1} << bank;
+}
+
+/** Split the bank mask `banks` by the tick `ready_at(b)` at which each
+ * bank's gates clear: return the banks ready at `now`, and lower
+ * *earliest to the first tick one of the others is. */
+template <typename ReadyAt>
+std::uint64_t
+readyBanks(std::uint64_t banks, Tick now, Tick *earliest, ReadyAt ready_at)
+{
+    std::uint64_t ready = 0;
+    for (; banks != 0; banks &= banks - 1) {
+        const unsigned b = static_cast<unsigned>(std::countr_zero(banks));
+        const Tick at = ready_at(b);
+        if (now < at)
+            *earliest = std::min(*earliest, at);
+        else
+            ready |= bankBit(b);
+    }
+    return ready;
+}
+
+} // namespace
 
 void
 ChannelStats::reset()
@@ -35,14 +65,23 @@ Channel::Channel(const DramOrg &org, const DramTiming &timing,
     : org_(org), timing_(timing), queueDepth_(queue_depth),
       banks_(org.banksPerChannel()),
       rowWant_(&pool_),
-      openRowWant_(org.banksPerChannel(), 0),
-      bankWant_(org.banksPerChannel(), 0),
       actWindow_(PoolAllocator<Tick>(&pool_)),
       nextRefresh_(timing.tREFI),
       drainHigh_(std::max(2u, queue_depth * 3 / 4)),
       drainLow_(std::max(1u, queue_depth / 4)),
       beats_(PoolAllocator<Beat>(&pool_))
 {
+    const unsigned banks = org.banksPerChannel();
+    palermo_assert(banks >= 1 && banks <= 64,
+                   "one 64-bit mask bit per bank");
+    groupOf_.resize(banks);
+    for (unsigned b = 0; b < banks; ++b)
+        groupOf_[b] = static_cast<std::uint8_t>(
+            b / org.banksPerGroup % org.bankGroups);
+    for (unsigned q = 0; q < 2; ++q) {
+        bankWant_[q].assign(banks, 0);
+        openRowWant_[q].assign(banks, 0);
+    }
     readQueue_.reserve(queue_depth);
     writeQueue_.reserve(queue_depth);
 }
@@ -55,15 +94,25 @@ Channel::canEnqueue(bool is_write) const
 }
 
 void
+Channel::setOpenRowWant(unsigned q, unsigned bank, std::uint32_t count)
+{
+    openRowWant_[q][bank] = count;
+    hitMask_[q] = count > 0 ? hitMask_[q] | bankBit(bank)
+                            : hitMask_[q] & ~bankBit(bank);
+}
+
+void
 Channel::trackEnqueue(const Entry &e, bool is_write)
 {
-    ++rowWant_[rowKey(e.flatBank, e.dec.row)];
-    ++bankWant_[e.flatBank];
+    const unsigned q = is_write;
+    ++rowWant_[rowKey(is_write, e.flatBank, e.dec.row)];
+    ++bankWant_[q][e.flatBank];
+    wantMask_[q] |= bankBit(e.flatBank);
     const Bank &bank = banks_[e.flatBank];
     if (!bank.isOpen()) {
         ++closedBankWant_;
     } else if (bank.openRow() == e.dec.row) {
-        ++openRowWant_[e.flatBank];
+        setOpenRowWant(q, e.flatBank, openRowWant_[q][e.flatBank] + 1);
         ++rowHitWant_;
     }
     resetScanMemos();
@@ -72,31 +121,36 @@ Channel::trackEnqueue(const Entry &e, bool is_write)
 }
 
 void
-Channel::trackDequeue(const Entry &e)
+Channel::trackDequeue(const Entry &e, bool is_write)
 {
-    const auto it = rowWant_.find(rowKey(e.flatBank, e.dec.row));
+    const unsigned q = is_write;
+    const auto it = rowWant_.find(rowKey(is_write, e.flatBank, e.dec.row));
     if (--it->second == 0)
         rowWant_.erase(it);
-    --bankWant_[e.flatBank];
+    if (--bankWant_[q][e.flatBank] == 0)
+        wantMask_[q] &= ~bankBit(e.flatBank);
     const Bank &bank = banks_[e.flatBank];
     if (!bank.isOpen()) {
         --closedBankWant_;
     } else if (bank.openRow() == e.dec.row) {
-        --openRowWant_[e.flatBank];
+        setOpenRowWant(q, e.flatBank, openRowWant_[q][e.flatBank] - 1);
         --rowHitWant_;
     }
     resetScanMemos();
 }
 
 void
-Channel::closeRow(std::size_t flat_bank, Tick now)
+Channel::closeRow(unsigned flat_bank, Tick now)
 {
     banks_[flat_bank].precharge(now, timing_);
+    openMask_ &= ~bankBit(flat_bank);
     // Open -> closed: the bank's row-hit entries (if any) and its
     // mismatched entries all become closed-bank demand.
-    rowHitWant_ -= openRowWant_[flat_bank];
-    openRowWant_[flat_bank] = 0;
-    closedBankWant_ += bankWant_[flat_bank];
+    for (unsigned q = 0; q < 2; ++q) {
+        rowHitWant_ -= openRowWant_[q][flat_bank];
+        setOpenRowWant(q, flat_bank, 0);
+        closedBankWant_ += bankWant_[q][flat_bank];
+    }
     resetScanMemos();
     wakeAt_ = 0;
 }
@@ -243,17 +297,14 @@ Channel::handleRefresh(Tick now)
     refreshPending_ = true;
     // Close open banks as their precharge constraints allow, then issue
     // the all-bank refresh.
-    bool any_open = false;
-    for (std::size_t b = 0; b < banks_.size(); ++b) {
-        if (banks_[b].isOpen()) {
-            any_open = true;
-            if (banks_[b].canPrecharge(now)) {
+    if (openMask_ != 0) {
+        for (std::uint64_t m = openMask_; m != 0; m &= m - 1) {
+            const unsigned b = static_cast<unsigned>(std::countr_zero(m));
+            if (banks_[b].canPrecharge(now))
                 closeRow(b, now);
-            }
         }
-    }
-    if (any_open)
         return;
+    }
     for (auto &bank : banks_)
         bank.refresh(now, timing_);
     stats_.refreshes.inc();
@@ -275,18 +326,19 @@ Channel::casGateAt(bool is_write) const
 }
 
 Tick
-Channel::casReadyAt(const Entry &e, bool is_write) const
+Channel::casReadyAt(unsigned bank, bool is_write) const
 {
-    Tick at = banks_[e.flatBank].nextColumnAt(is_write);
+    Tick at = banks_[bank].nextColumnAt(is_write);
+    const unsigned group = groupOf_[bank];
     // CAS-to-CAS spacing.
     if (lastCasValid_) {
-        const unsigned gap = (e.dec.bankGroup == lastCasBankGroup_)
+        const unsigned gap = (group == lastCasBankGroup_)
             ? timing_.tCCD_L : timing_.tCCD_S;
         at = std::max(at, lastCas_ + gap);
     }
     // Write-to-read turnaround.
     if (!is_write && lastWriteValid_) {
-        const unsigned wtr = (e.dec.bankGroup == lastWriteBankGroup_)
+        const unsigned wtr = (group == lastWriteBankGroup_)
             ? timing_.tWTR_L : timing_.tWTR_S;
         at = std::max(at, lastWriteDataEnd_ + wtr);
     }
@@ -309,10 +361,10 @@ Channel::actGateAt() const
 }
 
 Tick
-Channel::actReadyAt(const Entry &e) const
+Channel::actReadyAt(unsigned bank) const
 {
-    Tick at = banks_[e.flatBank].nextActAt();
-    if (lastActValid_ && e.dec.bankGroup == lastActBankGroup_)
+    Tick at = banks_[bank].nextActAt();
+    if (lastActValid_ && groupOf_[bank] == lastActBankGroup_)
         at = std::max(at, lastAct_ + timing_.tRRD_L);
     return at;
 }
@@ -322,9 +374,9 @@ Channel::entryReadyAt(const Entry &e, bool is_write) const
 {
     const Bank &bank = banks_[e.flatBank];
     if (!bank.isOpen())
-        return std::max(actGateAt(), actReadyAt(e));
+        return std::max(actGateAt(), actReadyAt(e.flatBank));
     if (bank.openRow() == e.dec.row)
-        return casReadyAt(e, is_write);
+        return casReadyAt(e.flatBank, is_write);
     return bank.nextPreAt();
 }
 
@@ -379,45 +431,46 @@ Channel::tryColumn(Tick now, EntryQueue &queue, bool is_write, Tick *wake)
         return false;
     }
 
-    // Earliest tick a row hit of this queue clears every CAS gate,
-    // piggy-backed on the scan for the casRetry memo.
+    // Banks holding a row hit of this queue; the earliest tick one of
+    // the others clears every CAS gate feeds the casRetry memo.
     Tick earliest = kInvalid;
-    for (auto it = queue.begin(); it != queue.end(); ++it) {
-        const Entry &cand = *it;
-        // Only row hits matter; one counter load filters the rest.
-        if (openRowWant_[cand.flatBank] == 0)
-            continue;
-        if (banks_[cand.flatBank].openRow() != cand.dec.row)
-            continue;
-        const Tick ready = casReadyAt(cand, is_write);
-        if (now < ready) {
-            earliest = std::min(earliest, ready);
-            continue;
-        }
-        const Entry entry = cand;
-        banks_[entry.flatBank].column(now, is_write, timing_);
-        recordCas(now, entry, is_write);
-        if (!is_write) {
-            const Tick finish = now + timing_.tCL + timing_.tBL;
-            completions_.push_back({entry.tag, finish, false});
-            stats_.reads.inc();
-            stats_.readLatency.sample(
-                static_cast<double>(finish - entry.enqueueTick));
-        }
-        trackDequeue(entry);
-        queue.erase(it);
-        return true;
+    const std::uint64_t ready =
+        readyBanks(hitMask_[is_write], now, &earliest,
+                   [&](unsigned b) { return casReadyAt(b, is_write); });
+    if (ready == 0) {
+        // Gating state only pushes deadlines later between tracked
+        // events, so "no hit in this queue can issue before `earliest`"
+        // holds until an event resets the memo. kInvalid when this
+        // queue holds no hits.
+        memo = earliest;
+        *wake = std::min(*wake, earliest);
+        return false;
     }
-    // Gating state only pushes deadlines later between tracked events,
-    // so "no hit in this queue can issue before `earliest`" holds until
-    // an event resets the memo. kInvalid when this queue holds no hits.
-    memo = earliest;
-    *wake = std::min(*wake, earliest);
-    return false;
+
+    // The oldest row hit on a ready bank.
+    const auto it = std::find_if(
+        queue.begin(), queue.end(), [&](const Entry &e) {
+            return (ready & bankBit(e.flatBank)) != 0
+                && banks_[e.flatBank].openRow() == e.dec.row;
+        });
+    const Entry entry = *it;
+    banks_[entry.flatBank].column(now, is_write, timing_);
+    recordCas(now, entry, is_write);
+    if (!is_write) {
+        const Tick finish = now + timing_.tCL + timing_.tBL;
+        completions_.push_back({entry.tag, finish, false});
+        stats_.reads.inc();
+        stats_.readLatency.sample(
+            static_cast<double>(finish - entry.enqueueTick));
+    }
+    trackDequeue(entry, is_write);
+    queue.erase(it);
+    return true;
 }
 
 bool
-Channel::tryActivate(Tick now, EntryQueue &queue, Tick *wake)
+Channel::tryActivate(Tick now, EntryQueue &queue, bool is_write,
+                     Tick *wake)
 {
     // No queued entry anywhere sits on a closed bank: no ACT possible
     // until a precharge or an enqueue creates closed-bank demand.
@@ -432,40 +485,46 @@ Channel::tryActivate(Tick now, EntryQueue &queue, Tick *wake)
     }
 
     Tick earliest = kInvalid;
-    for (auto &entry : queue) {
-        if (banks_[entry.flatBank].isOpen())
-            continue;
-        const Tick ready = actReadyAt(entry);
-        if (now < ready) {
-            earliest = std::min(earliest, ready);
-            continue;
-        }
-        banks_[entry.flatBank].activate(now, entry.dec.row, timing_);
-        // Closed -> open: the bank's entries leave the closed-bank
-        // class; those matching the fresh row (exact count from the
-        // (bank, row) table — one probe per ACT) become row hits.
-        const std::uint32_t *want =
-            rowWant_.findValue(rowKey(entry.flatBank, entry.dec.row));
-        const std::uint32_t hits = want != nullptr ? *want : 0;
-        openRowWant_[entry.flatBank] = hits;
-        rowHitWant_ += hits;
-        closedBankWant_ -= bankWant_[entry.flatBank];
-        resetScanMemos();
-        entry.hadActivate = true;
-        lastAct_ = now;
-        lastActBankGroup_ = entry.dec.bankGroup;
-        lastActValid_ = true;
-        actWindow_.push_back(now);
-        if (actWindow_.size() > 4)
-            actWindow_.pop_front();
-        return true;
+    const std::uint64_t ready =
+        readyBanks(wantMask_[is_write] & ~openMask_, now, &earliest,
+                   [&](unsigned b) { return actReadyAt(b); });
+    if (ready == 0) {
+        *wake = std::min(*wake, earliest);
+        return false;
     }
-    *wake = std::min(*wake, earliest);
-    return false;
+
+    // The oldest entry on a ready (closed) bank.
+    Entry &entry = *std::find_if(
+        queue.begin(), queue.end(),
+        [&](const Entry &e) { return (ready & bankBit(e.flatBank)) != 0; });
+    const unsigned b = entry.flatBank;
+    banks_[b].activate(now, entry.dec.row, timing_);
+    openMask_ |= bankBit(b);
+    // Closed -> open: the bank's entries leave the closed-bank class;
+    // those matching the fresh row (exact counts from the (queue, bank,
+    // row) table — one probe per queue) become row hits.
+    for (unsigned q = 0; q < 2; ++q) {
+        const std::uint32_t *want =
+            rowWant_.findValue(rowKey(q == 1, b, entry.dec.row));
+        const std::uint32_t hits = want != nullptr ? *want : 0;
+        setOpenRowWant(q, b, hits);
+        rowHitWant_ += hits;
+        closedBankWant_ -= bankWant_[q][b];
+    }
+    resetScanMemos();
+    entry.hadActivate = true;
+    lastAct_ = now;
+    lastActBankGroup_ = entry.dec.bankGroup;
+    lastActValid_ = true;
+    actWindow_.push_back(now);
+    if (actWindow_.size() > 4)
+        actWindow_.pop_front();
+    return true;
 }
 
 bool
-Channel::tryPrecharge(Tick now, EntryQueue &queue, Tick *wake)
+Channel::tryPrecharge(Tick now, EntryQueue &queue, bool is_write,
+                      Tick *wake)
 {
     // Precharge needs an entry whose bank is open at a different row —
     // the class that is neither a row hit nor closed-bank demand. Empty
@@ -479,61 +538,24 @@ Channel::tryPrecharge(Tick now, EntryQueue &queue, Tick *wake)
         *wake = std::min(*wake, preRetryAt_);
         return false;
     }
-    // Short queues: the entry-major scan touches fewer banks than a
-    // bank-major sweep would. A bank whose open row is still wanted
-    // gives no bound: only a CAS (a command) can release it.
-    if (queue.size() <= 8) {
-        Tick earliest = kInvalid;
-        for (auto &entry : queue) {
-            Bank &bank = banks_[entry.flatBank];
-            if (!bank.isOpen() || bank.openRow() == entry.dec.row)
-                continue;
-            // FR-FCFS: do not close a row other requests still want.
-            if (openRowWanted(entry.flatBank))
-                continue;
-            if (!bank.canPrecharge(now)) {
-                earliest = std::min(earliest, bank.nextPreAt());
-                continue;
-            }
-            closeRow(entry.flatBank, now);
-            entry.hadConflict = true;
-            return true;
-        }
-        *wake = std::min(*wake, earliest);
-        return false;
-    }
 
-    // Bank-major scan: whether a bank may be closed is entry-independent
-    // (open, precharge timing met, open row wanted by no queued request —
-    // an entry whose row IS the open row keeps it wanted, so a flagged
-    // bank always mismatches every queued entry's row). The first entry
-    // in queue order whose bank is flagged is exactly the entry the
-    // original entry-major scan would have picked.
-    prechargeOk_.assign(banks_.size(), 0);
-    bool any = false;
-    // Piggy-backed on the sweep: earliest precharge deadline among
-    // demanded banks blocked only on timing, for the preRetryAt_ memo.
+    // Whether a bank may be closed is entry-independent: it is open,
+    // some queue wants it, no queued request wants its open row
+    // (FR-FCFS), and its precharge timing is met. An entry on such a
+    // bank always mismatches the open row, so the first entry in queue
+    // order on a ready bank is the first entry that may precharge.
+    // Banks nobody queues for are left out; that also lets the memo arm
+    // while they sit open and idle.
+    const std::uint64_t candidates = openMask_
+        & ~(hitMask_[0] | hitMask_[1]) & (wantMask_[0] | wantMask_[1]);
+    // Earliest precharge deadline among candidates blocked only on
+    // timing, for the preRetryAt_ memo. Candidates are open, so
+    // canPrecharge(now) is now >= nextPreAt().
     Tick earliest = kInvalid;
-    for (std::size_t b = 0; b < banks_.size(); ++b) {
-        // Banks nobody queues for can never match the entry scan below;
-        // leaving them unflagged also lets the memo arm while they sit
-        // open and idle.
-        if (bankWant_[b] == 0)
-            continue;
-        Bank &bank = banks_[b];
-        if (!bank.isOpen())
-            continue;
-        // FR-FCFS: do not close a row other requests still want.
-        if (openRowWanted(b))
-            continue;
-        if (!bank.canPrecharge(now)) {
-            earliest = std::min(earliest, bank.nextPreAt());
-            continue;
-        }
-        prechargeOk_[b] = 1;
-        any = true;
-    }
-    if (!any) {
+    const std::uint64_t ready =
+        readyBanks(candidates, now, &earliest,
+                   [&](unsigned b) { return banks_[b].nextPreAt(); });
+    if (ready == 0) {
         // No bank is eligible now; none can become eligible before the
         // earliest deadline absent a tracked event (which resets the
         // memo). kInvalid when only an event can create a candidate.
@@ -541,18 +563,18 @@ Channel::tryPrecharge(Tick now, EntryQueue &queue, Tick *wake)
         *wake = std::min(*wake, earliest);
         return false;
     }
-    for (auto &entry : queue) {
-        if (!prechargeOk_[entry.flatBank])
-            continue;
-        closeRow(entry.flatBank, now);
-        entry.hadConflict = true;
-        return true;
+    if ((ready & wantMask_[is_write]) == 0) {
+        // A ready bank's demand sits in the other queue, which takes it
+        // this tick: leave the memo disarmed and allow no skip.
+        *wake = std::min(*wake, now);
+        return false;
     }
-    // A flagged bank is eligible now and its demand sits in the other
-    // queue, which takes it this tick: leave the memo disarmed and
-    // allow no skip.
-    *wake = std::min(*wake, now);
-    return false;
+    Entry &entry = *std::find_if(
+        queue.begin(), queue.end(),
+        [&](const Entry &e) { return (ready & bankBit(e.flatBank)) != 0; });
+    closeRow(entry.flatBank, now);
+    entry.hadConflict = true;
+    return true;
 }
 
 bool
@@ -562,7 +584,8 @@ Channel::trySchedule(Tick now, EntryQueue &queue, bool is_write,
     if (queue.empty())
         return false;
     return tryColumn(now, queue, is_write, wake)
-        || tryActivate(now, queue, wake) || tryPrecharge(now, queue, wake);
+        || tryActivate(now, queue, is_write, wake)
+        || tryPrecharge(now, queue, is_write, wake);
 }
 
 } // namespace palermo

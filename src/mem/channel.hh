@@ -4,6 +4,29 @@
  * queues, write-drain hysteresis, write-to-read forwarding, bank timing,
  * tRRD/tFAW activate windows, CAS-to-CAS gating, and all-bank refresh.
  *
+ * Bank-major FR-FCFS. Every gate on a command depends on its entry only
+ * through the entry's flat bank: the bank's own timing, its bank group
+ * (tCCD_L, tWTR_L, tRRD_L) and whether its open row is still wanted.
+ * So the first entry in queue order that can issue is the first entry
+ * in queue order whose bank is ready, and each scan first evaluates the
+ * banks in a 64-bit mask, then walks the queue only when some bank is
+ * ready:
+ *
+ *  - tryColumn(q): banks in hitMask_[q], those where queue q holds an
+ *    entry on the open row;
+ *  - tryActivate(q): banks in wantMask_[q] that are closed;
+ *  - tryPrecharge(q): open banks that some queue wants and whose open
+ *    row no queue wants. Whether such a bank may be closed does not
+ *    depend on the queue, so one sweep serves both queues: when no
+ *    bank is ready it memoizes the earliest deadline in preRetryAt_,
+ *    shared by both queues, and when only the other queue wants a
+ *    ready bank it asks for a scan on the next tick.
+ *
+ * The masks mirror per-(queue, bank) counts: bankWant_ (queued
+ * entries) and openRowWant_ (entries on the bank's open row), which an
+ * ACT re-derives with one rowWant_ probe per queue. A channel has at
+ * most 64 banks, one mask bit each.
+ *
  * Event-driven scheduling. The channel keeps a wake tick, `wakeAt_`: a
  * lower bound on the earliest tick at which any ACT, PRE or CAS could
  * issue. Ticks before it run only the O(1) accounting, data-bus
@@ -11,7 +34,7 @@
  * FR-FCFS scans run from the wake tick on. The bound holds because:
  *
  *  - A tick that issues nothing sets it to the minimum of the bounds its
- *    own tryColumn/tryActivate/tryPrecharge scans computed (per-entry
+ *    own tryColumn/tryActivate/tryPrecharge scans computed (per-bank
  *    ready ticks, the hoisted tCCD/bus/tRRD_S/tFAW gates, the scan
  *    memos). Between tracked events, timing gates only move later.
  *  - Whether a tick issues anything does not depend on the write-drain
@@ -40,13 +63,14 @@
  * overlap and at most one is active per tick.
  *
  * Thread ownership (channel-sharded parallel stepping): every mutable
- * member of Channel — banks_, both queues, rowWant_, completions_, the
- * beat FIFO, refresh/drain state, the wake tick and scan memos, stats_,
- * and the PoolResource backing the row-want map, the tFAW window and
- * the beat FIFO — is owned exclusively by this channel. Channels never
- * read or write each other's state, and `rowKey` is the only static (a
- * pure function), so disjoint channels may tick concurrently on
- * different threads within one DramSystem cycle epoch.
+ * member of Channel — banks_, both queues, rowWant_, the per-(queue,
+ * bank) counts and the bank masks, the class counters, completions_,
+ * the beat FIFO, refresh/drain state, the wake tick and scan memos,
+ * stats_, and the PoolResource backing the row-want map, the tFAW
+ * window and the beat FIFO — is owned exclusively by this channel.
+ * Channels never read or write each other's state, and `rowKey` is the
+ * only static (a pure function), so disjoint channels may tick
+ * concurrently on different threads within one DramSystem cycle epoch.
  * enqueue()/completions() remain coordinator-only: traffic routing and
  * completion draining happen between epochs on the session thread.
  */
@@ -54,6 +78,7 @@
 #ifndef PALERMO_MEM_CHANNEL_HH
 #define PALERMO_MEM_CHANNEL_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -182,20 +207,23 @@ class Channel
     bool trySchedule(Tick now, EntryQueue &queue, bool is_write,
                      Tick *wake);
     bool tryColumn(Tick now, EntryQueue &queue, bool is_write, Tick *wake);
-    bool tryActivate(Tick now, EntryQueue &queue, Tick *wake);
-    bool tryPrecharge(Tick now, EntryQueue &queue, Tick *wake);
+    bool tryActivate(Tick now, EntryQueue &queue, bool is_write,
+                     Tick *wake);
+    bool tryPrecharge(Tick now, EntryQueue &queue, bool is_write,
+                      Tick *wake);
     void handleRefresh(Tick now);
 
     /** Earliest tick any CAS clears the entry-independent gates: the
      * shortest CAS-to-CAS gap and the data bus. */
     Tick casGateAt(bool is_write) const;
-    /** Earliest tick a CAS for `e` (a row hit) clears every gate. */
-    Tick casReadyAt(const Entry &e, bool is_write) const;
+    /** Earliest tick a CAS to the open row of `bank` clears every
+     * gate. */
+    Tick casReadyAt(unsigned bank, bool is_write) const;
     /** Earliest tick any ACT clears tRRD_S and tFAW. */
     Tick actGateAt() const;
-    /** Earliest tick an ACT for `e` (closed bank) clears its bank and
+    /** Earliest tick an ACT to the closed `bank` clears its bank and
      * tRRD_L gates. */
-    Tick actReadyAt(const Entry &e) const;
+    Tick actReadyAt(unsigned bank) const;
     /** Lower bound on the first command a newly queued entry needs. */
     Tick entryReadyAt(const Entry &e, bool is_write) const;
 
@@ -207,49 +235,58 @@ class Channel
      * changes; kInvalid when no beat is pending. */
     Tick nextBusEdge() const;
 
-    /** True if a queued entry wants the bank's open row: one array
-     * read. */
-    bool openRowWanted(std::uint64_t flat_bank) const
-    {
-        return openRowWant_[flat_bank] > 0;
-    }
     void recordCas(Tick now, const Entry &e, bool is_write);
 
-    /** Key of the queued-request count per (flat bank, row). */
-    static std::uint64_t rowKey(std::uint64_t flat_bank, std::uint64_t row)
+    /** Key of the queued-request count per (queue, flat bank, row); a
+     * flat bank fits in 6 bits. */
+    static std::uint64_t rowKey(bool is_write, std::uint64_t flat_bank,
+                                std::uint64_t row)
     {
-        return (row << 16) | flat_bank;
+        return (row << 7) | (flat_bank << 1) | (is_write ? 1 : 0);
     }
     void trackEnqueue(const Entry &e, bool is_write);
-    void trackDequeue(const Entry &e);
+    void trackDequeue(const Entry &e, bool is_write);
+    /** Set a bank's open-row count for one queue, keeping hitMask_ in
+     * step. */
+    void setOpenRowWant(unsigned q, unsigned bank, std::uint32_t count);
 
     /** Precharge a bank and reclassify its queued entries as
      * closed-bank demand. Every open->closed transition goes through
      * here so the scheduler-gate counters stay exact; it also clears
      * the wake tick. */
-    void closeRow(std::size_t flat_bank, Tick now);
+    void closeRow(unsigned flat_bank, Tick now);
 
     const DramOrg org_;
     const DramTiming timing_;
     const unsigned queueDepth_;
 
-    /** Queued requests per (flat bank, row); an ACT re-derives the
-     * bank's openRowWant_ count from it. Flat map, counts only — never
-     * iterated. */
+    /** Queued requests per (queue, flat bank, row); an ACT re-derives
+     * the bank's openRowWant_ counts from it. Flat map, counts only —
+     * never iterated. */
     using RowWantMap = FlatMap<std::uint64_t, std::uint32_t>;
+    /** One word per flat bank, indexed [queue][bank]; queue 0 holds
+     * reads, 1 writes. */
+    using PerBank = std::array<std::vector<std::uint32_t>, 2>;
 
     std::vector<Bank> banks_;
+    /** Bank group of each flat bank (tCCD_L, tWTR_L, tRRD_L). */
+    std::vector<std::uint8_t> groupOf_;
     PoolResource pool_; ///< Backs the pooled containers below.
     EntryQueue readQueue_;
     EntryQueue writeQueue_;
     RowWantMap rowWant_;
-    /** Queued entries wanting each bank's open row (exact: the
-     * rowWant_ count of that row). Zero for closed banks, recomputed
-     * on ACT. */
-    std::vector<std::uint32_t> openRowWant_;
-    /** Queued entries per flat bank, regardless of row. */
-    std::vector<std::uint32_t> bankWant_;
-    std::vector<std::uint8_t> prechargeOk_; ///< tryPrecharge scratch.
+    /** Queued entries of each queue on each bank, regardless of row. */
+    PerBank bankWant_;
+    /** Queued entries of each queue wanting each bank's open row
+     * (exact: the rowWant_ count of that row). Zero for closed banks,
+     * recomputed on ACT. */
+    PerBank openRowWant_;
+    /** Bit b set iff bankWant_[q][b] > 0. */
+    std::array<std::uint64_t, 2> wantMask_{};
+    /** Bit b set iff openRowWant_[q][b] > 0. */
+    std::array<std::uint64_t, 2> hitMask_{};
+    /** Bit b set iff bank b has a row open. */
+    std::uint64_t openMask_ = 0;
 
     // Every queued entry is, at any instant, in exactly one scheduler
     // class: row-hit (its bank is open at its row), closed-bank (CAS
@@ -264,10 +301,11 @@ class Channel
     /**
      * Earliest tick the precharge sweep could succeed, memoized when a
      * sweep comes up empty with every candidate bank blocked purely on
-     * tRAS/tRTP/tWR timing. Valid until any event that can change the
-     * candidate set — enqueue, dequeue, ACT, precharge — which all reset
-     * it to 0 (always sweep). Lets the per-tick scheduler skip the
-     * bank-major sweep across multi-tick timing windows.
+     * tRAS/tRTP/tWR timing. The candidate banks are those of both
+     * queues, so one memo serves both. Valid until any event that can
+     * change the candidate set — enqueue, dequeue, ACT, precharge —
+     * which all reset it to 0 (always sweep). Lets the per-tick
+     * scheduler skip the sweep across multi-tick timing windows.
      */
     Tick preRetryAt_ = 0;
 

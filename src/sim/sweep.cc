@@ -116,8 +116,10 @@ SweepSpec::parse(const std::string &text, SweepSpec *spec,
         } else if (axis == "pe" || axis == "columns") {
             for (const std::string &v : values) {
                 std::uint64_t n = 0;
-                if (!parseUnsigned(v, &n) || n == 0)
-                    return fail(error, "bad pe count '" + v + "'");
+                // The controller's ready mask has one bit per column.
+                if (!parseUnsigned(v, &n) || n == 0 || n > 64)
+                    return fail(error,
+                                "bad pe count '" + v + "' (1..64)");
                 result.peColumns.push_back(static_cast<unsigned>(n));
             }
         } else if (axis == "channels" || axis == "ch") {

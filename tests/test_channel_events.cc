@@ -328,6 +328,9 @@ cases()
         {4, 1, 2, 2, false, 1, 60000},  {8, 1, 2, 2, true, 2, 40000},
         {16, 1, 4, 4, false, 3, 60000}, {32, 2, 2, 4, true, 4, 40000},
         {64, 1, 4, 4, true, 5, 40000},  {12, 1, 2, 4, true, 6, 40000},
+        // The bank masks' width limits: 64 banks reach bit 63, and one
+        // bank is a single bit in a single bank group.
+        {16, 4, 4, 4, true, 7, 40000},  {8, 1, 1, 1, true, 8, 40000},
     };
     return all;
 }

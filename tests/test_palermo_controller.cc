@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "controller/palermo_controller.hh"
 #include "mem/dram_system.hh"
 
@@ -66,6 +68,27 @@ pump(PalermoController &controller, DramSystem &dram, unsigned n)
         dram.tick();
     }
     return runToIdle(controller, dram);
+}
+
+/** End tick and summed sample latency of a 200-request pump. */
+struct PumpResult
+{
+    Tick end;
+    double latencySum;
+};
+
+PumpResult
+pump200(unsigned columns, bool sw_mode)
+{
+    DramSystem dram(tinyDram());
+    PalermoControllerConfig mesh = meshConfig(columns);
+    mesh.swMode = sw_mode;
+    PalermoController controller(
+        std::make_unique<PalermoOram>(tinyConfig()), mesh);
+    PumpResult result{pump(controller, dram, 200), 0.0};
+    for (const LatencySample &sample : controller.stats().samples)
+        result.latencySum += sample.latency;
+    return result;
 }
 
 TEST(PalermoController, CompletesSingleRequest)
@@ -206,6 +229,32 @@ TEST(PalermoSwController, CompletesAndIsSlowerThanHw)
         hw_time = pump(controller, dram, 48);
     }
     EXPECT_LT(hw_time, sw_time);
+}
+
+// Pinned timing at the ready mask's width limits (1, 33 and 64 PE
+// columns), in hardware and software mode. A PE left out of the mask
+// while it could move stalls its column and moves these values.
+TEST(PalermoController, PumpTimingPinnedAtMaskWidths)
+{
+    struct Pin
+    {
+        unsigned columns;
+        bool swMode;
+        Tick end;
+        double latencySum;
+    };
+    const Pin pins[] = {
+        {1, false, 54359, 55923.0},   {33, false, 32393, 1000238.0},
+        {64, false, 32226, 1769850.0}, {1, true, 58551, 61356.0},
+        {33, true, 54252, 1641819.0},  {64, true, 54252, 2905292.0},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(std::to_string(pin.columns) + " columns"
+                     + (pin.swMode ? ", software" : ", hardware"));
+        const PumpResult got = pump200(pin.columns, pin.swMode);
+        EXPECT_EQ(got.end, pin.end);
+        EXPECT_EQ(got.latencySum, pin.latencySum);
+    }
 }
 
 TEST(PalermoController, DummiesCountedSeparately)

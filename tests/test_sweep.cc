@@ -76,6 +76,9 @@ TEST(SweepSpec, ParseRejectsMalformedInput)
     EXPECT_FALSE(SweepSpec::parse("workload=doom", &spec, &error));
     EXPECT_FALSE(SweepSpec::parse("zsa=4:5", &spec, &error));
     EXPECT_FALSE(SweepSpec::parse("pe=0", &spec, &error));
+    EXPECT_FALSE(SweepSpec::parse("pe=65", &spec, &error));
+    EXPECT_EQ(error, "bad pe count '65' (1..64)");
+    EXPECT_TRUE(SweepSpec::parse("pe=64", &spec, &error)) << error;
     EXPECT_FALSE(SweepSpec::parse("prefetch=x", &spec, &error));
     EXPECT_FALSE(error.empty());
 }

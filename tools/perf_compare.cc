@@ -18,7 +18,11 @@
  *
  * Points are matched by id; the fresh run may cover a subset of the
  * baseline grid (CI runs the small sizes only), but every fresh point
- * must exist in the baseline with an identical config.
+ * must exist in the baseline with an identical config. --fresh may be
+ * repeated: the fresh run is then the union of the documents' points
+ * and derived keys, so each point can come from its own process (a
+ * point's peak RSS is then its own, not lifted by heap an earlier
+ * point freed). A point id may appear in only one of them.
  *
  * The documents' generator object (tool name, git provenance) is
  * deliberately excluded from every comparison: provenance describes
@@ -29,6 +33,7 @@
  * Exit status: 0 pass, 1 regression, 2 usage/I-O/incomparable inputs.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -48,7 +53,7 @@ namespace {
 struct CompareOptions
 {
     std::string baselinePath;
-    std::string freshPath;
+    std::vector<std::string> freshPaths;
     std::string markdownPath; ///< Per-point speedup table, or empty.
     double tolerance = 0.50; ///< Relative, on host-speed keys.
     double allocSlack = 2.0; ///< Absolute allocs/request headroom.
@@ -58,10 +63,12 @@ void
 usage()
 {
     std::fputs(
-        "usage: perf_compare --baseline FILE --fresh FILE "
+        "usage: perf_compare --baseline FILE --fresh FILE... "
         "[--tolerance F] [--alloc-slack N] [--markdown FILE]\n"
         "  --baseline FILE   committed bench_sim_speed document\n"
-        "  --fresh FILE      document from the run under test\n"
+        "  --fresh FILE      document from the run under test; repeat\n"
+        "                    it to compare the union of several\n"
+        "                    documents' points\n"
         "  --tolerance F     relative slack on host-speed keys "
         "(default 0.50)\n"
         "  --alloc-slack N   absolute allocs/request headroom "
@@ -94,7 +101,7 @@ parseCompareArgs(int argc, const char *const *argv,
                 *error = "--fresh needs a path";
                 return false;
             }
-            result.freshPath = value;
+            result.freshPaths.push_back(value);
         } else if (name == "--markdown") {
             if (!cursor.value(&value)) {
                 *error = "--markdown needs a path";
@@ -130,7 +137,7 @@ parseCompareArgs(int argc, const char *const *argv,
             return false;
         }
     }
-    if (result.baselinePath.empty() || result.freshPath.empty()) {
+    if (result.baselinePath.empty() || result.freshPaths.empty()) {
         *error = "--baseline and --fresh are both required";
         return false;
     }
@@ -304,9 +311,11 @@ main(int argc, char **argv)
     }
 
     JsonValue baseline;
-    JsonValue fresh;
-    if (!loadDocument(options.baselinePath, &baseline, &error)
-        || !loadDocument(options.freshPath, &fresh, &error)) {
+    std::vector<JsonValue> fresh(options.freshPaths.size());
+    bool loaded = loadDocument(options.baselinePath, &baseline, &error);
+    for (std::size_t i = 0; loaded && i < fresh.size(); ++i)
+        loaded = loadDocument(options.freshPaths[i], &fresh[i], &error);
+    if (!loaded) {
         std::fprintf(stderr, "perf_compare: %s\n", error.c_str());
         return 2;
     }
@@ -326,22 +335,38 @@ main(int argc, char **argv)
                      base_git->string().c_str());
     }
 
-    const JsonValue *fresh_points = fresh.find("points");
-    if (fresh_points == nullptr || !fresh_points->isArray()
-        || fresh_points->array().empty()) {
-        std::fprintf(stderr, "perf_compare: '%s' holds no points\n",
-                     options.freshPath.c_str());
-        return 2;
+    // The fresh run: the union of every fresh document's points.
+    std::vector<const JsonValue *> fresh_points;
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+        const JsonValue *points = fresh[i].find("points");
+        if (points == nullptr || !points->isArray()
+            || points->array().empty()) {
+            std::fprintf(stderr, "perf_compare: '%s' holds no points\n",
+                         options.freshPaths[i].c_str());
+            return 2;
+        }
+        for (const JsonValue &point : points->array())
+            fresh_points.push_back(&point);
     }
 
     // Pass 1: simulated results, exact.
-    for (const JsonValue &point : fresh_points->array()) {
+    std::vector<std::string> fresh_ids;
+    for (const JsonValue *fresh_point : fresh_points) {
+        const JsonValue &point = *fresh_point;
         const JsonValue *id = point.find("id");
         if (id == nullptr || !id->isString()) {
             std::fprintf(stderr,
                          "perf_compare: fresh point without id\n");
             return 2;
         }
+        if (std::find(fresh_ids.begin(), fresh_ids.end(), id->string())
+            != fresh_ids.end()) {
+            std::fprintf(stderr,
+                         "perf_compare: fresh point '%s' appears twice\n",
+                         id->string().c_str());
+            return 2;
+        }
+        fresh_ids.push_back(id->string());
         const JsonValue *base_point = findPoint(baseline, id->string());
         if (base_point == nullptr) {
             std::fprintf(stderr,
@@ -386,29 +411,34 @@ main(int argc, char **argv)
     }
 
     // Pass 2: host-speed keys, with tolerance, for the fresh ids.
-    const JsonValue *base_derived = baseline.find("derived");
-    const JsonValue *fresh_derived = fresh.find("derived");
+    const auto lookup = [](const JsonValue &document,
+                           const std::string &key) -> double {
+        const JsonValue *derived = document.find("derived");
+        const JsonValue *value = derived ? derived->find(key) : nullptr;
+        return value != nullptr && value->isNumber() ? value->number()
+                                                     : -1.0;
+    };
+    // The fresh derived keys are the union of the documents' keys.
+    const auto lookupFresh = [&](const std::string &key) -> double {
+        for (const JsonValue &document : fresh) {
+            const double value = lookup(document, key);
+            if (value >= 0.0)
+                return value;
+        }
+        return -1.0;
+    };
     std::size_t speed_checks = 0;
     std::vector<MarkdownRow> markdown_rows;
-    for (const JsonValue &point : fresh_points->array()) {
-        const std::string id = point.find("id")->string();
+    for (const std::string &id : fresh_ids) {
         const int failures_before = failures;
         const auto speedKey = [&](const char *leaf) {
             return "speed." + id + "." + leaf;
         };
-        const auto lookup = [](const JsonValue *derived,
-                               const std::string &key) -> double {
-            const JsonValue *value =
-                derived ? derived->find(key) : nullptr;
-            return value != nullptr && value->isNumber()
-                       ? value->number()
-                       : -1.0;
-        };
 
         const double base_rps =
-            lookup(base_derived, speedKey("requests_per_second"));
+            lookup(baseline, speedKey("requests_per_second"));
         const double fresh_rps =
-            lookup(fresh_derived, speedKey("requests_per_second"));
+            lookupFresh(speedKey("requests_per_second"));
         if (base_rps > 0.0 && fresh_rps >= 0.0) {
             ++speed_checks;
             const double floor = base_rps * (1.0 - options.tolerance);
@@ -426,9 +456,9 @@ main(int argc, char **argv)
         }
 
         const double base_allocs =
-            lookup(base_derived, speedKey("heap_allocs_per_request"));
+            lookup(baseline, speedKey("heap_allocs_per_request"));
         const double fresh_allocs =
-            lookup(fresh_derived, speedKey("heap_allocs_per_request"));
+            lookupFresh(speedKey("heap_allocs_per_request"));
         if (base_allocs >= 0.0 && fresh_allocs >= 0.0) {
             ++speed_checks;
             const double ceiling =
@@ -442,10 +472,8 @@ main(int argc, char **argv)
             }
         }
 
-        const double base_rss =
-            lookup(base_derived, speedKey("peak_rss_mb"));
-        const double fresh_rss =
-            lookup(fresh_derived, speedKey("peak_rss_mb"));
+        const double base_rss = lookup(baseline, speedKey("peak_rss_mb"));
+        const double fresh_rss = lookupFresh(speedKey("peak_rss_mb"));
         if (base_rss > 0.0 && fresh_rss >= 0.0) {
             ++speed_checks;
             const double ceiling = base_rss * (1.0 + options.tolerance);
