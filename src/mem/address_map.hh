@@ -34,6 +34,13 @@ struct DramOrg
         return ranks * bankGroups * banksPerGroup;
     }
 
+    /** Bank group of a flat bank index (the inverse of
+     * DecodedAddr::flatBank's layout). */
+    unsigned bankGroupOf(unsigned flat_bank) const
+    {
+        return flat_bank / banksPerGroup % bankGroups;
+    }
+
     /** Total addressable bytes across all channels. */
     std::uint64_t capacityBytes() const;
 };

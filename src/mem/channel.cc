@@ -76,8 +76,7 @@ Channel::Channel(const DramOrg &org, const DramTiming &timing,
                    "one 64-bit mask bit per bank");
     groupOf_.resize(banks);
     for (unsigned b = 0; b < banks; ++b)
-        groupOf_[b] = static_cast<std::uint8_t>(
-            b / org.banksPerGroup % org.bankGroups);
+        groupOf_[b] = static_cast<std::uint8_t>(org.bankGroupOf(b));
     for (unsigned q = 0; q < 2; ++q) {
         bankWant_[q].assign(banks, 0);
         openRowWant_[q].assign(banks, 0);
