@@ -1,44 +1,35 @@
 /**
  * @file
- * google-benchmark micros for FlatMap vs the pooled std::unordered_map
- * it replaced on the simulator hot path. Three access patterns at the
- * sizes the simulator actually sees: stash-scale churn (hundreds of
- * entries, insert/erase balanced), posmap-tail-scale lookups (tens of
- * thousands of entries, read-mostly), and the row-want pattern
- * (handfuls of entries, counter bump then erase). Run side by side,
- * the pairs justify — and guard — the flat-layout migration.
+ * google-benchmark micros for FlatMap vs the node-based
+ * std::unordered_map it replaced on the simulator hot path, here a
+ * std::pmr::unordered_map whose nodes recycle in a pool resource.
+ * Three access patterns at the sizes the simulator actually sees:
+ * stash-scale churn (hundreds of entries, insert/erase balanced),
+ * posmap-tail-scale lookups (tens of thousands of entries,
+ * read-mostly), and the row-want pattern (handfuls of entries, counter
+ * bump then erase). Run side by side, the pairs justify — and guard —
+ * the flat-layout migration.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory_resource>
 #include <unordered_map>
-#include <utility>
 
 #include "bench_micro_util.hh"
 
 #include "common/flat_map.hh"
-#include "common/pool.hh"
 #include "common/rng.hh"
 
 using namespace palermo;
 
 namespace {
 
-/** The container FlatMap replaced: unordered_map on a PoolResource. */
-using PooledStdMap = std::unordered_map<
-    std::uint64_t, std::uint64_t, FlatHash<std::uint64_t>,
-    std::equal_to<std::uint64_t>,
-    PoolAllocator<std::pair<const std::uint64_t, std::uint64_t>>>;
-
-PooledStdMap
-makeStdMap(PoolResource *pool)
-{
-    return PooledStdMap(
-        0, FlatHash<std::uint64_t>(), std::equal_to<std::uint64_t>(),
-        PoolAllocator<std::pair<const std::uint64_t, std::uint64_t>>(
-            pool));
-}
+/** The contender: a node-based map whose nodes recycle in a pool. */
+using PooledStdMap =
+    std::pmr::unordered_map<std::uint64_t, std::uint64_t,
+                            FlatHash<std::uint64_t>>;
 
 /**
  * Stash-scale churn: a bounded working set with balanced put/take, the
@@ -48,8 +39,7 @@ void
 BM_FlatMapChurn(benchmark::State &state)
 {
     const std::uint64_t window = static_cast<std::uint64_t>(state.range(0));
-    PoolResource pool;
-    FlatMap<std::uint64_t, std::uint64_t> map(&pool);
+    FlatMap<std::uint64_t, std::uint64_t> map;
     std::uint64_t i = 0;
     for (auto _ : state) {
         map.emplace(i % (2 * window), i);
@@ -65,8 +55,8 @@ void
 BM_StdMapChurn(benchmark::State &state)
 {
     const std::uint64_t window = static_cast<std::uint64_t>(state.range(0));
-    PoolResource pool;
-    PooledStdMap map = makeStdMap(&pool);
+    std::pmr::unsynchronized_pool_resource pool;
+    PooledStdMap map(&pool);
     std::uint64_t i = 0;
     for (auto _ : state) {
         map.emplace(i % (2 * window), i);
@@ -87,8 +77,7 @@ void
 BM_FlatMapLookup(benchmark::State &state)
 {
     const std::uint64_t size = static_cast<std::uint64_t>(state.range(0));
-    PoolResource pool;
-    FlatMap<std::uint64_t, std::uint64_t> map(&pool);
+    FlatMap<std::uint64_t, std::uint64_t> map;
     for (std::uint64_t k = 0; k < size; ++k)
         map.emplace(2 * k, k);
     Rng rng(1);
@@ -106,8 +95,8 @@ void
 BM_StdMapLookup(benchmark::State &state)
 {
     const std::uint64_t size = static_cast<std::uint64_t>(state.range(0));
-    PoolResource pool;
-    PooledStdMap map = makeStdMap(&pool);
+    std::pmr::unsynchronized_pool_resource pool;
+    PooledStdMap map(&pool);
     for (std::uint64_t k = 0; k < size; ++k)
         map.emplace(2 * k, k);
     Rng rng(1);
@@ -129,8 +118,7 @@ BENCHMARK(BM_StdMapLookup)->Arg(256)->Arg(65536);
 void
 BM_FlatMapCounter(benchmark::State &state)
 {
-    PoolResource pool;
-    FlatMap<std::uint64_t, std::uint64_t> map(&pool);
+    FlatMap<std::uint64_t, std::uint64_t> map;
     Rng rng(2);
     for (auto _ : state) {
         const std::uint64_t key = rng.range(64);
@@ -147,8 +135,8 @@ BENCHMARK(BM_FlatMapCounter);
 void
 BM_StdMapCounter(benchmark::State &state)
 {
-    PoolResource pool;
-    PooledStdMap map = makeStdMap(&pool);
+    std::pmr::unsynchronized_pool_resource pool;
+    PooledStdMap map(&pool);
     Rng rng(2);
     for (auto _ : state) {
         const std::uint64_t key = rng.range(64);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Pool-backed open-addressing hash table for the simulator hot path.
+ * Open-addressing hash table for the simulator hot path.
  *
  * Every per-access lookup table in the inner loop (stash index,
  * position-map overrides, tree-store node index, row-hit predictor,
@@ -18,9 +18,8 @@
  *  - Power-of-two capacity with a splitmix64-style finalizer: the
  *    finalizer's avalanche makes masked bucket indices well distributed
  *    even for sequential keys (block ids, node ids, row keys).
- *  - One allocation holding metadata bytes + slots, served from an
- *    optional PoolResource so table growth recycles within a session
- *    like every other hot-path structure (common/pool.hh).
+ *  - Tables never shrink: once a table has grown to its working set,
+ *    inserts and erases stop touching the heap.
  *  - Max load factor 3/4, minimum capacity 8.
  *
  * Iteration visits slots in table order, which depends on the hash
@@ -29,7 +28,7 @@
  * structures (the stash) pair FlatMap with a dense insertion-ordered
  * vector and use the map only as an index.
  *
- * Thread safety: none, by ownership — same contract as PoolResource.
+ * Thread safety: none, by ownership.
  */
 
 #ifndef PALERMO_COMMON_FLAT_MAP_HH
@@ -44,7 +43,6 @@
 #include <utility>
 
 #include "common/log.hh"
-#include "common/pool.hh"
 
 namespace palermo {
 
@@ -155,8 +153,7 @@ class FlatMap
     using iterator = Iter<false>;
     using const_iterator = Iter<true>;
 
-    /** @param pool Backing resource; nullptr falls back to the heap. */
-    explicit FlatMap(PoolResource *pool = nullptr) : pool_(pool) {}
+    FlatMap() = default;
 
     FlatMap(const FlatMap &) = delete;
     FlatMap &operator=(const FlatMap &) = delete;
@@ -441,10 +438,8 @@ class FlatMap
     void
     allocTable()
     {
-        const size_type bytes = tableBytes(capacity_);
-        void *raw = pool_ != nullptr
-            ? pool_->allocate(bytes, alignof(value_type))
-            : ::operator new(bytes, std::align_val_t{alignof(value_type)});
+        void *raw = ::operator new(tableBytes(capacity_),
+                                   std::align_val_t{alignof(value_type)});
         occupied_ = static_cast<std::uint8_t *>(raw);
         std::memset(occupied_, 0, capacity_);
         slots_ = reinterpret_cast<value_type *>(
@@ -456,12 +451,8 @@ class FlatMap
     {
         if (base == nullptr)
             return;
-        const size_type bytes = tableBytes(capacity);
-        if (pool_ != nullptr)
-            pool_->deallocate(base, bytes, alignof(value_type));
-        else
-            ::operator delete(base, bytes,
-                              std::align_val_t{alignof(value_type)});
+        ::operator delete(base, tableBytes(capacity),
+                          std::align_val_t{alignof(value_type)});
     }
 
     void
@@ -486,7 +477,6 @@ class FlatMap
     void
     stealFrom(FlatMap &other)
     {
-        pool_ = other.pool_;
         occupied_ = other.occupied_;
         slots_ = other.slots_;
         capacity_ = other.capacity_;
@@ -497,7 +487,6 @@ class FlatMap
         other.size_ = 0;
     }
 
-    PoolResource *pool_ = nullptr;
     std::uint8_t *occupied_ = nullptr; ///< One byte per slot: 0 free.
     value_type *slots_ = nullptr;      ///< Inline key+value storage.
     size_type capacity_ = 0;           ///< Power of two (or 0: empty).

@@ -16,8 +16,7 @@ namespace palermo {
 
 PalermoController::PalermoController(std::unique_ptr<PalermoOram> protocol,
                                      const PalermoControllerConfig &config)
-    : protocol_(std::move(protocol)), config_(config),
-      tagMap_(&pool_), inFlightBlocks_(&pool_)
+    : protocol_(std::move(protocol)), config_(config)
 {
     palermo_assert(protocol_ != nullptr);
     palermo_assert(config.columns >= 1 && config.columns <= 64,

@@ -51,7 +51,6 @@
 #include <vector>
 
 #include "common/flat_map.hh"
-#include "common/pool.hh"
 #include "controller/controller.hh"
 #include "oram/palermo.hh"
 #include "oram/plan.hh"
@@ -186,8 +185,6 @@ class PalermoController : public Controller
      * (MSHR merge); count/lookup only, never iterated. */
     using TagMap = FlatMap<std::uint64_t, std::uint32_t>;
     using BlockMap = FlatMap<BlockId, unsigned>;
-
-    PoolResource pool_; ///< Backs the maps below; declared before them.
 
     std::uint64_t nextTag_ = 1;
     /** Read tag -> (col, level). */

@@ -16,7 +16,7 @@ SerialController::SerialController(std::unique_ptr<Protocol> protocol,
                                    unsigned decrypt_latency)
     : protocol_(std::move(protocol)), issueWidth_(issue_width),
       queueLimit_(queue_limit), decryptLatency_(decrypt_latency),
-      queue_(PoolAllocator<Pending>(&pool_))
+      queue_(&pool_)
 {
     palermo_assert(protocol_ != nullptr);
     palermo_assert(issue_width > 0 && queue_limit > 0);

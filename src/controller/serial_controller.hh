@@ -16,9 +16,9 @@
 
 #include <deque>
 #include <memory>
+#include <memory_resource>
 #include <vector>
 
-#include "common/pool.hh"
 #include "controller/controller.hh"
 #include "oram/hierarchy.hh"
 #include "oram/plan.hh"
@@ -72,8 +72,8 @@ class SerialController : public Controller
     unsigned issueWidth_;
     std::size_t queueLimit_;
     unsigned decryptLatency_;
-    PoolResource pool_; ///< Backs queue_; declared before it.
-    std::deque<Pending, PoolAllocator<Pending>> queue_;
+    std::pmr::unsynchronized_pool_resource pool_; ///< Backs queue_.
+    std::pmr::deque<Pending> queue_;
     std::vector<RequestPlan> planScratch_; ///< push() staging buffer.
 };
 

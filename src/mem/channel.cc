@@ -64,12 +64,11 @@ Channel::Channel(const DramOrg &org, const DramTiming &timing,
                  unsigned queue_depth)
     : org_(org), timing_(timing), queueDepth_(queue_depth),
       banks_(org.banksPerChannel()),
-      rowWant_(&pool_),
-      actWindow_(PoolAllocator<Tick>(&pool_)),
+      actWindow_(&pool_),
       nextRefresh_(timing.tREFI),
       drainHigh_(std::max(2u, queue_depth * 3 / 4)),
       drainLow_(std::max(1u, queue_depth / 4)),
-      beats_(PoolAllocator<Beat>(&pool_))
+      beats_(&pool_)
 {
     const unsigned banks = org.banksPerChannel();
     palermo_assert(banks >= 1 && banks <= 64,

@@ -66,8 +66,8 @@
  * member of Channel — banks_, both queues, rowWant_, the per-(queue,
  * bank) counts and the bank masks, the class counters, completions_,
  * the beat FIFO, refresh/drain state, the wake tick and scan memos,
- * stats_, and the PoolResource backing the row-want map, the tFAW
- * window and the beat FIFO — is owned exclusively by this channel.
+ * stats_, and the pool resource backing the tFAW window and the beat
+ * FIFO — is owned exclusively by this channel.
  * Channels never read or write each other's state, and `rowKey` is the
  * only static (a pure function), so disjoint channels may tick
  * concurrently on different threads within one DramSystem cycle epoch.
@@ -81,10 +81,10 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <memory_resource>
 #include <vector>
 
 #include "common/flat_map.hh"
-#include "common/pool.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/address_map.hh"
@@ -271,7 +271,8 @@ class Channel
     std::vector<Bank> banks_;
     /** Bank group of each flat bank (tCCD_L, tWTR_L, tRRD_L). */
     std::vector<std::uint8_t> groupOf_;
-    PoolResource pool_; ///< Backs the pooled containers below.
+    /** Backs actWindow_ and beats_; declared before them. */
+    std::pmr::unsynchronized_pool_resource pool_;
     EntryQueue readQueue_;
     EntryQueue writeQueue_;
     RowWantMap rowWant_;
@@ -346,7 +347,7 @@ class Channel
     Tick lastAct_ = 0;
     unsigned lastActBankGroup_ = 0;
     bool lastActValid_ = false;
-    std::deque<Tick, PoolAllocator<Tick>> actWindow_; ///< Last 4 ACTs (tFAW).
+    std::pmr::deque<Tick> actWindow_; ///< Last 4 ACTs (tFAW).
 
     // Refresh state.
     Tick nextRefresh_;
@@ -359,7 +360,7 @@ class Channel
 
     // Instantaneous data-bus activity tracking: pending and active
     // beats in issue order (also start order; they never overlap).
-    std::deque<Beat, PoolAllocator<Beat>> beats_;
+    std::pmr::deque<Beat> beats_;
     bool busActiveNow_ = false;
 
     ChannelStats stats_;

@@ -55,8 +55,7 @@ cachedLevelsFor(const OramParams &params, std::uint64_t bytes)
 }
 
 PrefetchFilter::PrefetchFilter(std::size_t capacity)
-    : capacity_(capacity), lru_(Lru::allocator_type(&pool_)),
-      map_(&pool_)
+    : capacity_(capacity), lru_(&pool_)
 {
     palermo_assert(capacity > 0);
 }

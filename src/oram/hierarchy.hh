@@ -23,12 +23,12 @@
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <memory_resource>
 #include <utility>
 #include <vector>
 
 #include "common/flat_map.hh"
 #include "common/log.hh"
-#include "common/pool.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "oram/node_meta.hh"
@@ -311,11 +311,11 @@ class PrefetchFilter
     /** Pooled LRU list + flat index so residency churn stays off the
      * heap and lookups stay off pointer chains. Recency order lives in
      * the list alone; the index is lookup-only. */
-    using Lru = std::list<BlockId, PoolAllocator<BlockId>>;
+    using Lru = std::pmr::list<BlockId>;
     using Index = FlatMap<BlockId, Lru::iterator>;
 
     std::size_t capacity_;
-    PoolResource pool_; ///< Declared before the containers it backs.
+    std::pmr::unsynchronized_pool_resource pool_; ///< Backs lru_.
     Lru lru_;
     Index map_;
 };

@@ -12,7 +12,7 @@ namespace palermo {
 PosMap::PosMap(std::uint64_t num_blocks, std::uint64_t num_leaves,
                std::uint64_t prf_key, unsigned default_group)
     : numBlocks_(num_blocks), numLeaves_(num_leaves), prf_(prf_key),
-      defaultGroup_(default_group), entries_(&pool_)
+      defaultGroup_(default_group)
 {
     palermo_assert(num_blocks > 0 && num_leaves > 0);
     palermo_assert(default_group >= 1);

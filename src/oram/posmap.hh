@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/flat_map.hh"
-#include "common/pool.hh"
 #include "common/types.hh"
 #include "crypto/prf.hh"
 
@@ -96,7 +95,6 @@ class PosMap
     std::uint64_t numLeaves_;
     Prf prf_;
     unsigned defaultGroup_;
-    PoolResource pool_; ///< Declared before entries_ (destruction order).
     /** Direct storage (small trees); kUntouched = never set. */
     std::vector<std::uint32_t> dense_;
     std::size_t denseTouched_ = 0;

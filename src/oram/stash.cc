@@ -11,7 +11,7 @@
 
 namespace palermo {
 
-Stash::Stash(std::size_t capacity) : capacity_(capacity), index_(&pool_)
+Stash::Stash(std::size_t capacity) : capacity_(capacity)
 {
     palermo_assert(capacity > 0);
     items_.reserve(capacity);

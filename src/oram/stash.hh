@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "common/flat_map.hh"
-#include "common/pool.hh"
 #include "common/types.hh"
 
 namespace palermo {
@@ -106,7 +105,6 @@ class Stash
     void noteOccupancy();
 
     std::size_t capacity_;
-    PoolResource pool_; ///< Declared before index_ (destruction order).
     std::vector<StashItem> items_;
     FlatMap<BlockId, std::uint32_t> index_; ///< block -> items_ slot.
     std::size_t highWatermark_ = 0;

@@ -15,7 +15,7 @@
 namespace palermo {
 
 TreeStore::TreeStore(const OramParams &params)
-    : params_(params), tail_(&pool_)
+    : params_(params)
 {
     params_.check();
     palermo_assert(params_.numBlocks < kUsedWord &&

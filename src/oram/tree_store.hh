@@ -84,7 +84,6 @@
 
 #include "common/flat_map.hh"
 #include "common/log.hh"
-#include "common/pool.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "oram/node_meta.hh"
@@ -497,7 +496,6 @@ class TreeStore
     }
 
     OramParams params_;
-    PoolResource pool_; ///< Declared before tail_ (destruction order).
 
     // Node-id -> bucket index.
     std::uint64_t directLimit_ = 0;
@@ -517,9 +515,7 @@ class TreeStore
     std::vector<std::uint32_t> slotBlock_;
 
     // Per-block records (file comment): dense_ once prefilled, else
-    // lazy_ holds the blocks that have entered a slot. lazy_ is
-    // heap-backed, not pooled: its table only grows, so a pool would
-    // never reuse the tables it outgrows.
+    // lazy_ holds the blocks that have entered a slot.
     std::vector<Resident> dense_;
     FlatMap<std::uint32_t, Resident> lazy_;
 };

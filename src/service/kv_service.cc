@@ -43,7 +43,7 @@ ObliviousKvService::ObliviousKvService(const ServiceConfig &config)
                config_.system.seed),
       session_(config_.protocol, config_.system),
       queue_(config_.queueCapacity, config_.queuePolicy),
-      inflight_(PoolAllocator<InFlight>(&pool_)),
+      inflight_(&pool_),
       perTenant_(config_.tenants),
       measuring_(config_.warmupCompletions == 0)
 {

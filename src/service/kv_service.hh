@@ -29,9 +29,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory_resource>
 #include <vector>
 
-#include "common/pool.hh"
 #include "service/request_queue.hh"
 #include "service/service_metrics.hh"
 #include "service/tenant.hh"
@@ -175,10 +175,10 @@ class ObliviousKvService
     TenantDirectory tenants_;
     SimSession session_;
     BoundedRequestQueue queue_;
-    PoolResource pool_; ///< Backs inflight_; declared first.
+    std::pmr::unsynchronized_pool_resource pool_; ///< Backs inflight_.
     /** Completion-attribution FIFO, pool-backed for the same reason as
      * the admission queue: steady-state serving stays off the heap. */
-    std::deque<InFlight, PoolAllocator<InFlight>> inflight_;
+    std::pmr::deque<InFlight> inflight_;
 
     std::function<void(const ServiceCompletion &)> sink_;
     ServiceStats global_;

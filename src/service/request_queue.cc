@@ -37,8 +37,7 @@ queuePolicyFromName(const std::string &name, QueuePolicy *policy)
 
 BoundedRequestQueue::BoundedRequestQueue(std::size_t capacity,
                                          QueuePolicy policy)
-    : queue_(PoolAllocator<ServiceRequest>(&pool_)),
-      capacity_(capacity), policy_(policy)
+    : queue_(&pool_), capacity_(capacity), policy_(policy)
 {
     palermo_assert(capacity > 0, "request queue needs capacity >= 1");
 }

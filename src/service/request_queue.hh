@@ -23,9 +23,9 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory_resource>
 #include <string>
 
-#include "common/pool.hh"
 #include "common/types.hh"
 
 namespace palermo {
@@ -110,10 +110,10 @@ class BoundedRequestQueue
     }
 
   private:
-    PoolResource pool_; ///< Backs queue_; declared first.
+    std::pmr::unsynchronized_pool_resource pool_; ///< Backs queue_.
     /** Pool-backed FIFO: deque chunks recycle across the run instead of
      * hitting the heap on every admission wave. */
-    std::deque<ServiceRequest, PoolAllocator<ServiceRequest>> queue_;
+    std::pmr::deque<ServiceRequest> queue_;
     std::size_t capacity_;
     QueuePolicy policy_;
     std::uint64_t nextSequence_ = 0;

@@ -78,8 +78,6 @@ SimSession::admit(Tick now)
             const FrontendRequest request = frontend_->produce(now);
             controller_->push(request.pa, request.write, request.value,
                               request.dummy);
-            if (config_.constantRate)
-                break; // One slot per interval.
         }
         return;
     }
@@ -88,8 +86,6 @@ SimSession::admit(Tick now)
         inbox_.pop_front();
         controller_->push(request.pa, request.write, request.value,
                           request.dummy);
-        if (config_.constantRate)
-            break;
     }
 }
 

@@ -22,6 +22,7 @@
 #include "common/alloc_count.hh"
 #include "common/rng.hh"
 #include "mem/channel.hh"
+#include "oram/hierarchy.hh"
 #include "oram/palermo.hh"
 #include "service/kv_service.hh"
 #include "sim/experiment.hh"
@@ -236,10 +237,11 @@ TEST(AllocBudget, PrefillHeapBytesPerTreeSlot)
 TEST(AllocBudget, ChannelQueuesNeverReallocate)
 {
     // Both request queues are reserved to the queue depth at
-    // construction, and the row-want map, tFAW window and data-beat
-    // FIFO recycle through the channel's pool: once one fill and drain
-    // has warmed the pool, filling both queues to the brim and
-    // draining them again touches the heap zero times.
+    // construction, the row-want map keeps the table it grew to, and
+    // the tFAW window and data-beat FIFO recycle through the channel's
+    // pool: once one fill and drain has warmed them, filling both
+    // queues to the brim and draining them again touches the heap zero
+    // times.
     const DramOrg org;
     constexpr unsigned kDepth = 64;
     Channel channel(org, ddr4_3200(), kDepth);
@@ -269,6 +271,29 @@ TEST(AllocBudget, ChannelQueuesNeverReallocate)
     std::printf("channel refill of %u reads + %u writes: %llu allocs\n",
                 kDepth, kDepth, allocs);
     EXPECT_EQ(allocs, 0u);
+}
+
+TEST(AllocBudget, PrefetchFilterEvictsWithoutHeap)
+{
+    // The run-level budgets above stay inside a 2^11-line space, which
+    // never fills the 2^15-line LLC filter, so none of them reaches
+    // its evict-and-reinsert path. Fill a small filter, then churn it:
+    // every insert evicts the LRU line and every hit relinks one, and
+    // the list nodes recycle through the filter's pool.
+    PrefetchFilter filter(64);
+    BlockId line = 0;
+    for (; line < 4096; ++line)
+        filter.insert(line);
+    const unsigned long long before = heapAllocationCount();
+    for (unsigned i = 0; i < 100000; ++i, ++line) {
+        filter.insert(line);
+        filter.hit(line - 10);
+    }
+    const unsigned long long allocs = heapAllocationCount() - before;
+    std::printf("prefetch filter churn of 100000 inserts: %llu allocs\n",
+                allocs);
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_EQ(filter.size(), 64u);
 }
 
 TEST(AllocBudget, CounterCountsThisBinary)

@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "common/flat_map.hh"
-#include "common/pool.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 
@@ -148,24 +147,6 @@ TEST(FlatMapTest, ReserveAvoidsRehash)
     EXPECT_EQ(map.capacity(), cap);
 }
 
-TEST(FlatMapTest, PoolBackedRecyclesOnRegrowth)
-{
-    PoolResource pool;
-    {
-        FlatMap<std::uint64_t, std::uint64_t> map(&pool);
-        for (std::uint64_t i = 0; i < 5000; ++i)
-            map.emplace(i, i);
-        for (std::uint64_t i = 0; i < 5000; ++i)
-            EXPECT_EQ(*map.findValue(i), i);
-    }
-    // Destroyed map returned its table; a same-shape map reuses it.
-    const std::uint64_t before = pool.reuseHits();
-    FlatMap<std::uint64_t, std::uint64_t> map(&pool);
-    for (std::uint64_t i = 0; i < 5000; ++i)
-        map.emplace(i, i);
-    EXPECT_GT(pool.reuseHits(), before);
-}
-
 TEST(FlatMapTest, MoveTransfersTable)
 {
     FlatMap<std::uint64_t, int> a;
@@ -207,10 +188,10 @@ TEST(FlatMapTest, NonTrivialValueLifetimes)
  */
 void
 fuzzAgainstReference(std::uint64_t seed, std::uint64_t key_domain,
-                     unsigned rounds, PoolResource *pool)
+                     unsigned rounds)
 {
     Rng rng(seed);
-    FlatMap<std::uint64_t, std::uint64_t> map(pool);
+    FlatMap<std::uint64_t, std::uint64_t> map;
     std::unordered_map<std::uint64_t, std::uint64_t> ref;
 
     for (unsigned round = 0; round < rounds; ++round) {
@@ -262,24 +243,23 @@ fuzzAgainstReference(std::uint64_t seed, std::uint64_t key_domain,
 
 TEST(FlatMapFuzzTest, SmallDomainHeavyChurn)
 {
-    fuzzAgainstReference(1, 64, 20000, nullptr);
+    fuzzAgainstReference(1, 64, 20000);
 }
 
 TEST(FlatMapFuzzTest, MediumDomain)
 {
-    fuzzAgainstReference(2, 4096, 40000, nullptr);
+    fuzzAgainstReference(2, 4096, 40000);
 }
 
-TEST(FlatMapFuzzTest, LargeDomainPoolBacked)
+TEST(FlatMapFuzzTest, LargeDomain)
 {
-    PoolResource pool;
-    fuzzAgainstReference(3, 1u << 20, 40000, &pool);
+    fuzzAgainstReference(3, 1u << 20, 40000);
 }
 
 TEST(FlatMapFuzzTest, ManySeeds)
 {
     for (std::uint64_t seed = 10; seed < 18; ++seed)
-        fuzzAgainstReference(seed, 256, 8000, nullptr);
+        fuzzAgainstReference(seed, 256, 8000);
 }
 
 } // namespace

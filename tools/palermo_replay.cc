@@ -17,12 +17,12 @@
  * usage/trace-format errors.
  */
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/log.hh"
-#include "common/wall_rate.hh"
 #include "sim/metrics_json.hh"
 #include "sim/protocol_registry.hh"
 #include "sim/run_cli.hh"
@@ -104,7 +104,7 @@ main(int argc, char **argv)
     SimSession session(options.protocol, config);
     std::size_t next = 0;
     std::uint64_t next_progress = options.progress;
-    const WallRateMeter wall;
+    const auto wall_start = std::chrono::steady_clock::now();
     while (!session.done()) {
         while (next < trace.size() && session.backlog() < options.depth)
             session.submit(trace[next++]);
@@ -114,7 +114,11 @@ main(int argc, char **argv)
             const RunMetrics mid = session.snapshot();
             // Wall-clock throughput alongside simulated time, so
             // --sim-threads scaling is visible mid-run.
-            const double wall_rps = wall.perSecond(session.served());
+            const std::chrono::duration<double> wall =
+                std::chrono::steady_clock::now() - wall_start;
+            const double wall_rps = wall.count() > 0.0
+                ? static_cast<double>(session.served()) / wall.count()
+                : 0.0;
             std::fprintf(stderr,
                          "progress: served %llu/%zu  cycles %llu  "
                          "req/kcyc %.3f  wall-req/s %.0f\n",
