@@ -72,7 +72,8 @@ class SerialController : public Controller
     unsigned issueWidth_;
     std::size_t queueLimit_;
     unsigned decryptLatency_;
-    std::pmr::unsynchronized_pool_resource pool_; ///< Backs queue_.
+    /** Backs queue_; declared before it. */
+    std::pmr::unsynchronized_pool_resource pool_;
     std::pmr::deque<Pending> queue_;
     std::vector<RequestPlan> planScratch_; ///< push() staging buffer.
 };

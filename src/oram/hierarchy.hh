@@ -315,7 +315,8 @@ class PrefetchFilter
     using Index = FlatMap<BlockId, Lru::iterator>;
 
     std::size_t capacity_;
-    std::pmr::unsynchronized_pool_resource pool_; ///< Backs lru_.
+    /** Backs lru_; declared before it. */
+    std::pmr::unsynchronized_pool_resource pool_;
     Lru lru_;
     Index map_;
 };

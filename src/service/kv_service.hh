@@ -175,7 +175,8 @@ class ObliviousKvService
     TenantDirectory tenants_;
     SimSession session_;
     BoundedRequestQueue queue_;
-    std::pmr::unsynchronized_pool_resource pool_; ///< Backs inflight_.
+    /** Backs inflight_; declared before it. */
+    std::pmr::unsynchronized_pool_resource pool_;
     /** Completion-attribution FIFO, pool-backed for the same reason as
      * the admission queue: steady-state serving stays off the heap. */
     std::pmr::deque<InFlight> inflight_;

@@ -110,7 +110,8 @@ class BoundedRequestQueue
     }
 
   private:
-    std::pmr::unsynchronized_pool_resource pool_; ///< Backs queue_.
+    /** Backs queue_; declared before it. */
+    std::pmr::unsynchronized_pool_resource pool_;
     /** Pool-backed FIFO: deque chunks recycle across the run instead of
      * hitting the heap on every admission wave. */
     std::pmr::deque<ServiceRequest> queue_;
