@@ -2,6 +2,14 @@
  * @file
  * Timing-controller interface: the component that converts admitted LLC
  * misses into DRAM traffic under a protocol's dependency rules.
+ *
+ * Spans. A controller is parked when its tick() can change nothing but
+ * its cycle counters until a DRAM completion or a push() arrives:
+ * every cycle it counts one total cycle and, with a request in
+ * flight, one DRAM or ORAM-sync cycle by dataBusActive(). While
+ * parked or idle, nextEventAt() reads kTickNever, and the session
+ * defers the cycles and settles them with one tickSpan() call. The
+ * non-virtual tickIdle() is the idle case of tickSpan().
  */
 
 #ifndef PALERMO_CONTROLLER_CONTROLLER_HH
@@ -39,14 +47,32 @@ class Controller
     virtual void tick(DramSystem &dram) = 0;
 
     /**
-     * Batched idle advancement: account for `cycles` consecutive idle
-     * cycles in one call, exactly as `cycles` tick() calls would while
-     * idle() holds, touching no DRAM state. Callers may only invoke
-     * this when idle() is true. Returns false when the controller
-     * cannot prove its idle tick is pure accounting (the caller must
-     * fall back to per-cycle tick()).
+     * Earliest tick at which tick() could change anything but the
+     * cycle counters, as far as the controller alone can tell: `now`
+     * while it can act, kTickNever while it is idle or parked. Parked
+     * means waiting on an event the session delivers: a DRAM
+     * completion (onCompletion) or a new request (push).
      */
-    virtual bool tickIdle(std::uint64_t cycles) = 0;
+    virtual Tick nextEventAt(Tick now) const = 0;
+
+    /**
+     * Account `cycles` consecutive tick() calls in one step, exactly
+     * as they would count them. Legal only while nextEventAt() is
+     * kTickNever and no completion or push arrives inside the span;
+     * `busy` of the cycles saw dataBusActive(). Touches no DRAM state.
+     */
+    virtual void tickSpan(std::uint64_t cycles, std::uint64_t busy) = 0;
+
+    /**
+     * tickSpan(cycles, 0) for an idle controller (it reads no bus).
+     * Always true: idle accounting is exact for every controller.
+     */
+    bool
+    tickIdle(std::uint64_t cycles)
+    {
+        tickSpan(cycles, 0);
+        return true;
+    }
 
     /** A DRAM read completed (tag issued by this controller). */
     virtual void onCompletion(std::uint64_t tag) = 0;

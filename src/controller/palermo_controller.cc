@@ -391,16 +391,33 @@ PalermoController::tryRetire(Tick now)
     }
 }
 
-bool
-PalermoController::tickIdle(std::uint64_t cycles)
+Tick
+PalermoController::nextEventAt(Tick now) const
 {
-    // Exactly `cycles` iterations of tick()'s idle early-return: the
-    // gate below (activeColumns_ == 0) is idle(), and that path is
-    // pure accounting.
-    palermo_assert(idle());
+    // An idle tick steps no PE, so bits a retired column left set
+    // (clearSibling, releaseGlobal) do not count.
+    if (activeColumns_ == 0)
+        return kTickNever;
+    for (const std::uint64_t mask : ready_)
+        if (mask != 0)
+            return now;
+    return kTickNever;
+}
+
+void
+PalermoController::tickSpan(std::uint64_t cycles, std::uint64_t busy)
+{
+    // `cycles` iterations of tick() with an empty ready mask: the idle
+    // early-return, or the data-level attribution and no PE step.
     stats_.totalCycles += cycles;
-    stats_.idleCycles += cycles;
-    return true;
+    if (activeColumns_ == 0) {
+        stats_.idleCycles += cycles;
+        return;
+    }
+    palermo_assert(nextEventAt(0) == kTickNever,
+                   "span over a controller that can act");
+    stats_.dramCycles[kLevelData] += busy;
+    stats_.syncCycles[kLevelData] += cycles - busy;
 }
 
 void

@@ -40,7 +40,10 @@
  *  - Palermo-SW's global CommitHead moving: every PE.
  *
  * Stepping a PE that cannot move changes nothing, so skipping it keeps
- * every simulated cycle.
+ * every simulated cycle. With every bit clear the whole tick is
+ * accounting: no column waits for its start tick (push() wakes its
+ * PEs), and the previous tick's tryRetire() already retired every
+ * column it could. So an empty mask is the controller's parked state.
  */
 
 #ifndef PALERMO_CONTROLLER_PALERMO_CONTROLLER_HH
@@ -78,7 +81,10 @@ class PalermoController : public Controller
     void push(BlockId pa, bool write, std::uint64_t value,
               bool dummy) override;
     void tick(DramSystem &dram) override;
-    bool tickIdle(std::uint64_t cycles) override;
+    /** Parked: every ready-mask bit is clear (PosMap2's lookup timer
+     * keeps its bit set). */
+    Tick nextEventAt(Tick now) const override;
+    void tickSpan(std::uint64_t cycles, std::uint64_t busy) override;
     void onCompletion(std::uint64_t tag) override;
     bool idle() const override;
     const Stash &stashOf(unsigned level) const override;

@@ -115,16 +115,39 @@ SerialController::advance(Pending &req, Tick now)
     }
 }
 
-bool
-SerialController::tickIdle(std::uint64_t cycles)
+Tick
+SerialController::nextEventAt(Tick now) const
 {
-    // Exactly `cycles` iterations of tick()'s idle early-return: the
-    // gate below (queue_.empty()) is idle(), and that path is pure
-    // accounting.
-    palermo_assert(idle());
+    if (queue_.empty())
+        return kTickNever;
+    // A started request is past tick()'s LLC-hit retire, so it has a
+    // level; advance() leaves it on a phase with ops to issue or reads
+    // outstanding. Only the second waits on an event.
+    const Pending &req = queue_.front();
+    if (!req.started || req.outstandingReads == 0)
+        return now;
+    const LevelPlan &level = req.plan.levels[req.levelIdx];
+    const bool issued =
+        req.opIdx >= level.phases[req.phaseIdx].ops.size();
+    return issued ? kTickNever : now;
+}
+
+void
+SerialController::tickSpan(std::uint64_t cycles, std::uint64_t busy)
+{
+    // `cycles` iterations of tick() that reach no enqueue: the idle
+    // early-return, or a parked request whose advance() and issue loop
+    // both find nothing to do and leave only the cycle attribution.
     stats_.totalCycles += cycles;
-    stats_.idleCycles += cycles;
-    return true;
+    if (queue_.empty()) {
+        stats_.idleCycles += cycles;
+        return;
+    }
+    palermo_assert(nextEventAt(0) == kTickNever,
+                   "span over a controller that can act");
+    const unsigned level = currentLevel(queue_.front());
+    stats_.dramCycles[level] += busy;
+    stats_.syncCycles[level] += cycles - busy;
 }
 
 void

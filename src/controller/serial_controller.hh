@@ -43,7 +43,10 @@ class SerialController : public Controller
     void push(BlockId pa, bool write, std::uint64_t value,
               bool dummy) override;
     void tick(DramSystem &dram) override;
-    bool tickIdle(std::uint64_t cycles) override;
+    /** Parked: the front request has started, has issued every op of
+     * its current phase and still has reads outstanding. */
+    Tick nextEventAt(Tick now) const override;
+    void tickSpan(std::uint64_t cycles, std::uint64_t busy) override;
     void onCompletion(std::uint64_t tag) override;
     bool idle() const override;
     const Stash &stashOf(unsigned level) const override;

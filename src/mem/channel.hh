@@ -56,6 +56,13 @@
  * read queue and 0 < writes <= drainLow_ it flips every tick, and those
  * ticks run one by one).
  *
+ * Command bound. Until the next enqueue, no command issues before
+ * nextCommandAt(next) = max(next, min(wakeAt_, nextRefresh_)), or
+ * `next` itself while a refresh is pending: the refresh term is there
+ * because a refresh closes rows and clears the wake tick. No CAS, so
+ * no new data beat and no new read completion, comes earlier; the
+ * session builds its event horizon from this bound.
+ *
  * Queues are contiguous vectors reserved to queueDepth at construction;
  * enqueue() never lets one grow past it, so they never reallocate. Data
  * beats are tracked as a FIFO of [start, end) intervals in issue order:
@@ -78,6 +85,7 @@
 #ifndef PALERMO_MEM_CHANNEL_HH
 #define PALERMO_MEM_CHANNEL_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
@@ -92,6 +100,13 @@
 #include "mem/dram_timing.hh"
 
 namespace palermo {
+
+/** One data-bus beat, [start, end). */
+struct Beat
+{
+    Tick start;
+    Tick end;
+};
 
 /** A finished read returned to the requester. */
 struct Completion
@@ -166,6 +181,26 @@ class Channel
 
     /** Drain completions produced so far (appended in finish order). */
     std::vector<Completion> &completions() { return completions_; }
+    const std::vector<Completion> &completions() const
+    {
+        return completions_;
+    }
+
+    /**
+     * Lower bound on the tick of the next command (ACT, PRE or CAS)
+     * at or after `next`, valid until the next enqueue (see the file
+     * comment).
+     */
+    Tick nextCommandAt(Tick next) const
+    {
+        if (refreshPending_)
+            return next;
+        return std::max(next, std::min(wakeAt_, nextRefresh_));
+    }
+
+    /** Scheduled data beats not yet retired, in start order; they
+     * never overlap. */
+    const std::pmr::deque<Beat> &beats() const { return beats_; }
 
     /** True if the data bus carried a beat during the last tick. */
     bool dataBusActive() const { return busActiveNow_; }
@@ -188,13 +223,6 @@ class Channel
         unsigned flatBank; ///< Cached dec.flatBank(org_).
         bool hadActivate = false;
         bool hadConflict = false;
-    };
-
-    /** One data-bus beat, [start, end). */
-    struct Beat
-    {
-        Tick start;
-        Tick end;
     };
 
     /** Request queue in arrival order, reserved to queueDepth_. */

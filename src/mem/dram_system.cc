@@ -90,6 +90,7 @@ DramSystem::DramSystem(const DramConfig &config)
         channels_.push_back(std::make_unique<Channel>(
             config.org, config.timing, config.queueDepth));
     }
+    beatCursor_.resize(channels_.size());
 }
 
 bool
@@ -151,6 +152,51 @@ DramSystem::tickWindow(WorkerPool *pool, std::uint64_t cycles)
     }
     now_ += cycles;
     return integral;
+}
+
+Tick
+DramSystem::visibleHorizon(Tick next) const
+{
+    const Tick cas = std::min(config_.timing.tCL, config_.timing.tCWL);
+    Tick horizon = nextDue_;
+    for (const auto &channel : channels_) {
+        for (const Completion &completion : channel->completions())
+            horizon = std::min(horizon, completion.finishTick);
+        horizon = std::min(horizon, channel->nextCommandAt(next) + cas);
+    }
+    return horizon;
+}
+
+std::uint64_t
+DramSystem::busyTicksIn(Tick from, Tick to) const
+{
+    // Merge the channels' beat lists by start tick (each is sorted and
+    // disjoint); `covered` is the end of the union counted so far.
+    std::fill(beatCursor_.begin(), beatCursor_.end(), 0);
+    std::uint64_t busy = 0;
+    Tick covered = from;
+    for (;;) {
+        const Beat *first = nullptr;
+        std::size_t owner = 0;
+        for (std::size_t c = 0; c < channels_.size(); ++c) {
+            const auto &beats = channels_[c]->beats();
+            if (beatCursor_[c] < beats.size()
+                && (first == nullptr
+                    || beats[beatCursor_[c]].start < first->start)) {
+                first = &beats[beatCursor_[c]];
+                owner = c;
+            }
+        }
+        if (first == nullptr || first->start >= to)
+            return busy;
+        ++beatCursor_[owner];
+        const Tick lo = std::max(first->start, covered);
+        const Tick hi = std::min(first->end, to);
+        if (hi > lo) {
+            busy += hi - lo;
+            covered = hi;
+        }
+    }
 }
 
 bool

@@ -3,6 +3,15 @@
  * Multi-channel DRAM system facade: routes requests to channels via the
  * address map, advances all channels per tick, aggregates statistics, and
  * hands read completions back to the ORAM controller.
+ *
+ * Visible horizon. A parked controller sees the DRAM only through the
+ * completions it is handed and the dataBusActive() it classifies each
+ * cycle by. visibleHorizon() bounds the first tick at which either can
+ * show something not already scheduled: a completion already produced
+ * falls due, or a CAS not yet issued puts a beat on a bus (a read CAS
+ * completes later still, at + tCL + tBL). Before it, busyTicksIn()
+ * reads the bus state off the beats already scheduled, and
+ * tickWindow() advances the channels in one call.
  */
 
 #ifndef PALERMO_MEM_DRAM_SYSTEM_HH
@@ -78,16 +87,36 @@ class DramSystem
 
     /**
      * Batched-epoch fast path: advance `cycles` cycles with one
-     * barrier (or none, serially, when `pool` is null/trivial). Legal
-     * only when the caller proved the window is cross-channel quiet —
-     * readQuiescent() holds and nothing will be enqueued — since
-     * channels advance through the whole window independently.
+     * barrier (or none, serially, when `pool` is null/trivial).
+     * Precondition: nothing is enqueued and nothing is drained inside
+     * the window. Channels then stay independent through it, so each
+     * advances through the whole window on its own; reads may be
+     * queued, and their completions wait in the channel outboxes for
+     * the next drainCompletions().
      * @return Sum over the window of post-tick occupancy() across all
      *         channels (exact: integer addends), so the caller can
      *         keep its time-weighted occupancy bit-identical to the
      *         per-cycle path.
      */
     std::uint64_t tickWindow(WorkerPool *pool, std::uint64_t cycles);
+
+    /**
+     * First tick at which the DRAM can show a parked controller
+     * anything not yet scheduled, if nothing is enqueued from `next`
+     * (the next tick to run) on: the minimum of the earliest finish
+     * tick among pending and undrained completions and, over the
+     * channels, the command bound plus min(tCL, tCWL), the first tick
+     * a new CAS could put a beat on a bus.
+     */
+    Tick visibleHorizon(Tick next) const;
+
+    /**
+     * Ticks in [from, to) that the channels' scheduled beats cover,
+     * counted once however many channels are busy: the number of
+     * ticks in the range after which dataBusActive() holds, as long
+     * as no CAS issued from now on has a beat inside it.
+     */
+    std::uint64_t busyTicksIn(Tick from, Tick to) const;
 
     /**
      * True when no read is queued in any channel and no completion is
@@ -129,6 +158,9 @@ class DramSystem
     std::vector<Completion> ready_;
     std::vector<Completion> pending_;
     Tick nextDue_ = kInvalid; ///< Earliest finishTick in pending_.
+    /** busyTicksIn()'s merge cursor per channel (no allocation per
+     * call). */
+    mutable std::vector<std::size_t> beatCursor_;
 };
 
 } // namespace palermo

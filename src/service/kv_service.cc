@@ -151,7 +151,7 @@ ObliviousKvService::step(std::uint64_t cycles)
         pump();
         if (quiescent()) {
             // Nothing can complete: cross the whole gap in one call
-            // (the session batches provably idle windows internally).
+            // (the session defers it up to its event horizon).
             session_.step(cycles);
             break;
         }

@@ -15,15 +15,12 @@ namespace palermo {
 
 namespace {
 
-/** Generous runaway guard: no experiment in this repo needs more. */
-constexpr Tick kTickLimit = 2'000'000'000ull;
-
 /**
- * Cap on one batched quiescent epoch in finish(): bounds how long the
- * loop goes without consulting the runaway guard while still fully
- * amortizing barrier and loop overhead.
+ * Generous runaway guard: no experiment in this repo needs more. The
+ * horizon never passes it, so a starved session defers up to it and
+ * then fails in the next real cycle.
  */
-constexpr std::uint64_t kBulkChunk = 1u << 16;
+constexpr Tick kTickLimit = 2'000'000'000ull;
 
 } // namespace
 
@@ -44,6 +41,7 @@ SimSession::SimSession(const SystemConfig &config,
                        std::unique_ptr<Frontend> frontend)
     : config_(config), dram_(std::make_unique<DramSystem>(config.dram)),
       controller_(std::move(controller)), frontend_(std::move(frontend)),
+      inbox_(&inboxPool_),
       warmupServed_(static_cast<std::uint64_t>(
           config.totalRequests * config.warmupFraction)),
       window_(std::max<std::uint64_t>(
@@ -61,6 +59,9 @@ SimSession::submit(const FrontendRequest &request)
     palermo_assert(frontend_ == nullptr,
                    "submit() on a session with a bound frontend");
     inbox_.push_back(request);
+    // Admission can happen in the next cycle: it runs for real.
+    if (controller_->canAccept())
+        horizon_ = std::min(horizon_, now());
 }
 
 void
@@ -98,47 +99,51 @@ SimSession::tickDram()
         dram_->tick();
 }
 
-std::uint64_t
-SimSession::quiescentWindow(std::uint64_t bound) const
+Tick
+SimSession::nextHorizon() const
 {
-    if (bound == 0 || !controller_->idle() || !dram_->readQuiescent())
-        return 0;
+    const Tick next = dram_->now();
     const ControllerStats &cs = controller_->stats();
     // A multi-request commit can leave several stash samples (or the
-    // warmup flip) pending; those transients must run per-cycle.
-    if (cs.served >= nextSample_)
-        return 0;
-    if (!measuring_ && cs.served >= warmupServed_)
-        return 0;
-    if (frontend_ != nullptr) {
-        const Tick now = dram_->now();
-        const Tick next = frontend_->nextIssueAt(now);
-        if (next <= now)
-            return 0;
-        if (next == Frontend::kNever)
-            return bound;
-        return std::min<std::uint64_t>(bound, next - now);
+    // warmup flip) pending; those run in real cycles.
+    if (cs.served >= nextSample_
+        || (!measuring_ && cs.served >= warmupServed_))
+        return next;
+    Tick horizon = controller_->nextEventAt(next);
+    if (horizon <= next)
+        return next;
+    if (controller_->canAccept()) {
+        if (frontend_ != nullptr)
+            horizon = std::min(horizon, frontend_->nextIssueAt(next));
+        else if (!inbox_.empty())
+            return next;
     }
-    if (!inbox_.empty())
-        return 0;
-    return bound;
+    // An idle controller reads no bus: with no read queued and no
+    // completion pending, the DRAM cannot reach it.
+    if (!controller_->idle() || !dram_->readQuiescent())
+        horizon = std::min(horizon, dram_->visibleHorizon(next));
+    return std::min(horizon, kTickLimit);
 }
 
-std::uint64_t
-SimSession::bulkStep(std::uint64_t bound)
+void
+SimSession::settle() const
 {
-    const std::uint64_t window = quiescentWindow(bound);
-    if (window == 0 || !controller_->tickIdle(window))
-        return 0;
-    palermo_assert(dram_->now() < kTickLimit, "simulation runaway");
-    outstanding_.accumulateExact(
-        dram_->tickWindow(pool_.get(), window), window);
-    return window;
+    if (deferred_ == 0)
+        return;
+    const std::uint64_t span = deferred_;
+    deferred_ = 0;
+    // Cycle t classifies the bus state the tick at t - 1 left.
+    const Tick from = dram_->now();
+    controller_->tickSpan(span,
+                          dram_->busyTicksIn(from - 1, from - 1 + span));
+    outstanding_.accumulateExact(dram_->tickWindow(pool_.get(), span),
+                                 span);
 }
 
 void
 SimSession::runCycle()
 {
+    settle();
     const Tick now = dram_->now();
     palermo_assert(now < kTickLimit, "simulation runaway");
 
@@ -171,14 +176,19 @@ SimSession::runCycle()
         stashSamples_.push_back(stash.windowWatermark());
         stash.resetWindowWatermark();
     }
+    horizon_ = nextHorizon();
 }
 
 void
 SimSession::step(std::uint64_t cycles)
 {
     while (cycles > 0) {
-        if (const std::uint64_t advanced = bulkStep(cycles)) {
-            cycles -= advanced;
+        const Tick now = this->now();
+        if (now < horizon_) {
+            const std::uint64_t span =
+                std::min<std::uint64_t>(cycles, horizon_ - now);
+            deferred_ += span;
+            cycles -= span;
             continue;
         }
         runCycle();
@@ -189,6 +199,10 @@ SimSession::step(std::uint64_t cycles)
 void
 SimSession::drain()
 {
+    settle();
+    // The tail runs cycle by cycle, so the horizon computed before it
+    // no longer holds; the next step() starts with a real cycle.
+    horizon_ = 0;
     // Settle the tail so trailing writes/evictions land in stats.
     for (unsigned i = 0;
          i < 4 * config_.dram.timing.tRC && !controller_->idle(); ++i) {
@@ -204,6 +218,7 @@ SimSession::drain()
 RunMetrics
 SimSession::snapshot() const
 {
+    settle();
     RunMetrics metrics;
     metrics.stashSamples = stashSamples_;
 
@@ -261,14 +276,10 @@ SimSession::snapshot() const
 RunMetrics
 SimSession::finish()
 {
-    // done() cannot change inside a quiescent window (served is frozen
-    // while the controller is idle), so checking it once per batched
-    // epoch is exact.
-    while (!done()) {
-        if (bulkStep(kBulkChunk))
-            continue;
-        runCycle();
-    }
+    // done() changes only in real cycles, so each pass defers up to
+    // the horizon and runs the real cycle there.
+    while (!done())
+        step(horizon_ > now() ? horizon_ - now() + 1 : 1);
     drain();
     return snapshot();
 }

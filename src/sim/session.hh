@@ -12,19 +12,39 @@
  * replayer, a multi-tenant interleaver, a rate-controlled load
  * generator — measures identically.
  *
- * The decomposition is cycle-exact with the old run() loop: one
- * step() is one iteration of the legacy loop (deliver completions,
- * admit traffic, tick controller and DRAM, account), so a
- * frontend-bound session stepped to completion produces byte-identical
- * palermo-metrics-v1 JSON to the pre-session code.
+ * The decomposition is cycle-exact with the old run() loop: every
+ * simulated cycle has the effect of one iteration of the legacy loop
+ * (deliver completions, admit traffic, tick controller and DRAM,
+ * account), so a frontend-bound session stepped to completion produces
+ * byte-identical palermo-metrics-v1 JSON to the pre-session code.
+ *
+ * Event horizon. Not every cycle runs that body. After each real
+ * cycle the session computes horizon_, the first cycle that must run
+ * for real. It is the next cycle while a stash sample or the warmup
+ * flip is pending, while the controller can act
+ * (Controller::nextEventAt), or while an admission is possible (a
+ * non-empty inbox, or the frontend's next issue, while canAccept()
+ * holds). Otherwise it is the earliest of the frontend's next issue
+ * and DramSystem::visibleHorizon, the first tick the DRAM can show the
+ * parked controller something new; an idle controller reads no bus,
+ * so with no read activity left nothing bounds it. Cycles before the
+ * horizon are deferred: step() only counts them, at O(1) each, and
+ * now() includes the count. settle() accounts a deferred span in one
+ * batch (Controller::tickSpan with the busy cycles read off the
+ * scheduled beats, one DramSystem::tickWindow, the exact occupancy
+ * integral) before the next real cycle and before anything reads the
+ * state it changes: drain(), finish(), snapshot(), controller() and
+ * dram().
+ * tests/test_session_horizon.cc checks all of it against a per-cycle
+ * reference loop.
  *
  * With config.simThreads > 1 the session owns a WorkerPool and shards
- * channel ticks across it inside each cycle (and batches barrier
- * epochs over provably quiescent windows). Channels are independent
- * within a cycle and the controller/frontend half stays on the
- * coordinating thread, so the parallel schedule is an implementation
- * detail: every stat, stash sample, and metrics byte is identical to
- * the serial run (tests/test_parallel_identity.cc).
+ * channel ticks across it inside each cycle (and settles spans of 8 or
+ * more cycles with one barrier). Channels are independent within a
+ * cycle and within a span, and the controller/frontend half stays on
+ * the coordinating thread, so the parallel schedule is an
+ * implementation detail: every stat, stash sample, and metrics byte is
+ * identical to the serial run (tests/test_parallel_identity.cc).
  */
 
 #ifndef PALERMO_SIM_SESSION_HH
@@ -33,6 +53,7 @@
 #include <array>
 #include <deque>
 #include <memory>
+#include <memory_resource>
 #include <vector>
 
 #include "common/stats.hh"
@@ -119,7 +140,8 @@ class SimSession
     /**
      * Queue one request for admission (externally driven sessions
      * only; sessions with a bound frontend own their traffic).
-     * Admission happens inside step(), at the controller's pace.
+     * Admission happens inside step(), at the controller's pace; when
+     * the controller can accept, the next cycle runs for real.
      */
     void submit(const FrontendRequest &request);
     void submit(BlockId pa, bool write = false, std::uint64_t value = 0,
@@ -131,7 +153,8 @@ class SimSession
     /**
      * Advance the clock: each cycle delivers DRAM completions, admits
      * pending traffic, ticks the controller and the DRAM model, and
-     * updates warmup/sampling state.
+     * updates warmup/sampling state. Cycles before the event horizon
+     * are only counted here and settled later in one batch.
      */
     void step(std::uint64_t cycles = 1);
 
@@ -155,11 +178,27 @@ class SimSession
      */
     RunMetrics finish();
 
-    Tick now() const { return dram_->now(); }
+    /** Simulated time, deferred cycles included. */
+    Tick now() const { return dram_->now() + deferred_; }
     std::uint64_t served() const { return controller_->stats().served; }
 
-    Controller &controller() { return *controller_; }
-    const Controller &controller() const { return *controller_; }
+    /** The controller, with every deferred cycle settled. */
+    Controller &controller()
+    {
+        settle();
+        return *controller_;
+    }
+    const Controller &controller() const
+    {
+        settle();
+        return *controller_;
+    }
+    /** The DRAM model, with every deferred cycle settled. */
+    const DramSystem &dram() const
+    {
+        settle();
+        return *dram_;
+    }
     const SystemConfig &config() const { return config_; }
 
   private:
@@ -167,31 +206,32 @@ class SimSession
     void admit(Tick now);
     void tickDram();
 
-    /**
-     * Largest batchable window of provably event-free cycles starting
-     * now, capped at `bound`: the controller is idle (its tick is pure
-     * accounting), no read or completion is pending in DRAM, no stash
-     * sample or warmup flip is outstanding, and no traffic can be
-     * admitted before the window ends. 0 means "take the per-cycle
-     * path".
-     */
-    std::uint64_t quiescentWindow(std::uint64_t bound) const;
+    /** The first cycle after a real one that must run for real (see
+     * the file comment), capped at the runaway guard. */
+    Tick nextHorizon() const;
 
     /**
-     * Try to advance a whole quiescent window (at most `bound` cycles)
-     * in one batched epoch: bulk controller idle accounting + one
-     * DramSystem::tickWindow + exact occupancy integration. State and
-     * statistics evolve exactly as the equivalent runCycle() sequence.
-     * @return Cycles advanced; 0 when the per-cycle path must run.
+     * Account the deferred span in one batch, exactly as its cycles
+     * would have run: controller counters, one DramSystem::tickWindow,
+     * the occupancy integral. Const so snapshot() can call it; what it
+     * changes outside the controller and the DRAM is mutable.
      */
-    std::uint64_t bulkStep(std::uint64_t bound);
+    void settle() const;
 
     SystemConfig config_;
     std::unique_ptr<DramSystem> dram_;
     std::unique_ptr<Controller> controller_;
     std::unique_ptr<Frontend> frontend_; ///< Null when externally fed.
     std::unique_ptr<WorkerPool> pool_;   ///< Null when simThreads <= 1.
-    std::deque<FrontendRequest> inbox_;  ///< submit()ted, not admitted.
+    /** Backs inbox_; declared before it. */
+    std::pmr::unsynchronized_pool_resource inboxPool_;
+    /** submit()ted, not admitted. */
+    std::pmr::deque<FrontendRequest> inbox_;
+
+    Tick horizon_ = 0; ///< First cycle that must run for real.
+    /** Cycles counted by step() but not yet run: they follow
+     * dram_->now() and end before horizon_. */
+    mutable std::uint64_t deferred_ = 0;
 
     // Warmup and sampling state (formerly locals of Simulator::run).
     std::uint64_t warmupServed_;  ///< Requests before measurement.
@@ -199,7 +239,7 @@ class SimSession
     bool measuring_;
     std::uint64_t warmupCycles_ = 0;
     std::uint64_t nextSample_;
-    TimeWeighted outstanding_;
+    mutable TimeWeighted outstanding_;
     std::vector<std::size_t> stashSamples_;
 };
 

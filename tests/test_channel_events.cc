@@ -12,6 +12,17 @@
  * forwarding. A second pass drives Channel through tickWindow() across
  * every quiet stretch and checks each window against the same number of
  * single ticks, both of the oracle and of a per-tick Channel twin.
+ * The per-tick pass also checks Channel::nextCommandAt: the oracle
+ * issues no command (ACT, PRE, CAS or refresh) before it.
+ *
+ * The same traffic, spread over several channels, then drives a
+ * DramSystem. From states reached mid-run with reads in flight and
+ * completions left undrained, it checks the visible horizon: ticking
+ * one cycle at a time up to visibleHorizon() makes no completion due
+ * and starts no beat that busyTicksIn() did not predict, and
+ * tickWindow() over such a span (or any span free of enqueues and
+ * drains, sharded or not) equals as many single ticks in state,
+ * completions and statistics.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +35,8 @@
 
 #include "common/rng.hh"
 #include "mem/channel.hh"
+#include "mem/dram_system.hh"
+#include "sim/parallel.hh"
 
 namespace palermo {
 namespace {
@@ -115,6 +128,8 @@ class RefChannel
 
     std::vector<Completion> &completions() { return completions_; }
     bool dataBusActive() const { return busActive_; }
+    /** ACT, PRE, CAS and refresh commands issued so far. */
+    std::uint64_t commands() const { return commands_; }
     std::size_t occupancy() const { return reads_.size() + writes_.size(); }
     std::size_t deepestQueue() const
     {
@@ -188,6 +203,7 @@ class RefChannel
                 continue;
 
             bank.column(now, is_write, timing_);
+            ++commands_;
             lastCas_ = now;
             lastCasGroup_ = group;
             lastCasValid_ = true;
@@ -232,6 +248,7 @@ class RefChannel
                 continue;
             }
             bank.activate(now, entry.dec.row, timing_);
+            ++commands_;
             entry.hadActivate = true;
             lastAct_ = now;
             lastActGroup_ = entry.dec.bankGroup;
@@ -255,6 +272,7 @@ class RefChannel
             if (!bank.canPrecharge(now))
                 continue;
             bank.precharge(now, timing_);
+            ++commands_;
             entry.hadConflict = true;
             return true;
         }
@@ -268,14 +286,17 @@ class RefChannel
         for (Bank &bank : banks_) {
             if (bank.isOpen()) {
                 any_open = true;
-                if (bank.canPrecharge(now))
+                if (bank.canPrecharge(now)) {
                     bank.precharge(now, timing_);
+                    ++commands_;
+                }
             }
         }
         if (any_open)
             return;
         for (Bank &bank : banks_)
             bank.refresh(now, timing_);
+        ++commands_;
         stats_.refreshes.inc();
         refreshPending_ = false;
         nextRefresh_ = now + timing_.tREFI;
@@ -290,6 +311,7 @@ class RefChannel
     std::vector<Completion> completions_;
     std::vector<Beat> beats_;
     bool busActive_ = false;
+    std::uint64_t commands_ = 0;
     Tick busFreeAt_ = 0;
     Tick lastCas_ = 0;
     unsigned lastCasGroup_ = 0;
@@ -461,17 +483,20 @@ struct Coverage
     std::uint64_t refreshWindows = 0; ///< Windows crossing a refresh.
     std::uint64_t edgeWindows = 0;    ///< Windows crossing a bus edge.
     std::uint64_t flipWindows = 0;    ///< Windows with drain-mode flips.
+    std::uint64_t quietTicks = 0; ///< Ticks before nextCommandAt.
 
     void print() const
     {
         std::printf("rejected %llu, deep-queue ticks %llu, windows %llu "
-                    "(refresh %llu, bus edge %llu, drain flips %llu)\n",
+                    "(refresh %llu, bus edge %llu, drain flips %llu), "
+                    "quiet ticks %llu\n",
                     static_cast<unsigned long long>(rejected),
                     static_cast<unsigned long long>(deepQueueTicks),
                     static_cast<unsigned long long>(windows),
                     static_cast<unsigned long long>(refreshWindows),
                     static_cast<unsigned long long>(edgeWindows),
-                    static_cast<unsigned long long>(flipWindows));
+                    static_cast<unsigned long long>(flipWindows),
+                    static_cast<unsigned long long>(quietTicks));
     }
 };
 
@@ -564,8 +589,17 @@ runCase(const Case &c, bool windows, Coverage *coverage)
         }
 
         if (!windows || !backlog.empty()) {
+            // Nothing enqueues before the next loop pass, so the bound
+            // holds for this tick.
+            const bool quiet = dut.nextCommandAt(now) > now;
+            const std::uint64_t commands = ref.commands();
             dut.tick(now);
             ref.tick(now);
+            if (quiet) {
+                ASSERT_EQ(ref.commands(), commands)
+                    << "command before nextCommandAt, tick " << now;
+                ++coverage->quietTicks;
+            }
             if (windows) {
                 twin.tick(now);
                 ASSERT_NO_FATAL_FAILURE(expectSameObservables(twin, ref, now));
@@ -642,6 +676,7 @@ TEST(ChannelEvents, PerTickMatchesReference)
     coverage.print();
     EXPECT_GT(coverage.rejected, 0u);
     EXPECT_GT(coverage.deepQueueTicks, 0u); // Bank-major PRE sweep.
+    EXPECT_GT(coverage.quietTicks, 0u);
 }
 
 TEST(ChannelEvents, WindowsMatchSingleTicks)
@@ -657,6 +692,234 @@ TEST(ChannelEvents, WindowsMatchSingleTicks)
     EXPECT_GT(coverage.refreshWindows, 0u);
     EXPECT_GT(coverage.edgeWindows, 0u);
     EXPECT_GT(coverage.flipWindows, 0u);
+}
+
+/** How often the DramSystem pass reached each case (all summed). */
+struct HorizonCoverage
+{
+    std::uint64_t checks = 0;      ///< Horizon checks with reads in flight.
+    std::uint64_t busyTicks = 0;   ///< Busy ticks inside checked spans.
+    std::uint64_t beyond = 0;      ///< Windows longer than the horizon.
+    std::uint64_t sharded = 0;     ///< Windows through the worker pool.
+    std::uint64_t delivered = 0;   ///< Completions due after a window.
+
+    void print() const
+    {
+        std::printf("horizon checks %llu, busy ticks %llu, windows "
+                    "past the horizon %llu, sharded %llu, completions "
+                    "after a window %llu\n",
+                    static_cast<unsigned long long>(checks),
+                    static_cast<unsigned long long>(busyTicks),
+                    static_cast<unsigned long long>(beyond),
+                    static_cast<unsigned long long>(sharded),
+                    static_cast<unsigned long long>(delivered));
+    }
+};
+
+/** Drained completions in a canonical order (equal finish ticks from
+ * different channels may come in either order). */
+std::vector<Completion>
+sortedDrain(DramSystem &dram)
+{
+    std::vector<Completion> done = dram.drainCompletions();
+    std::sort(done.begin(), done.end(),
+              [](const Completion &a, const Completion &b) {
+                  return a.finishTick != b.finishTick
+                      ? a.finishTick < b.finishTick : a.tag < b.tag;
+              });
+    return done;
+}
+
+/** Drain both and compare; `*due` counts what was delivered. */
+void
+expectSameDrain(DramSystem &got, DramSystem &want,
+                std::uint64_t *due = nullptr)
+{
+    const std::vector<Completion> done = sortedDrain(got);
+    const std::vector<Completion> expected = sortedDrain(want);
+    if (due != nullptr)
+        *due += expected.size();
+    ASSERT_EQ(done.size(), expected.size()) << "tick " << got.now();
+    for (std::size_t i = 0; i < done.size(); ++i) {
+        ASSERT_EQ(done[i].tag, expected[i].tag) << "tick " << got.now();
+        ASSERT_EQ(done[i].finishTick, expected[i].finishTick);
+        ASSERT_EQ(done[i].forwarded, expected[i].forwarded);
+    }
+}
+
+void
+expectSameSnapshot(const DramSnapshot &got, const DramSnapshot &want)
+{
+    EXPECT_EQ(got.reads, want.reads);
+    EXPECT_EQ(got.writes, want.writes);
+    EXPECT_EQ(got.rowHits, want.rowHits);
+    EXPECT_EQ(got.rowMisses, want.rowMisses);
+    EXPECT_EQ(got.rowConflicts, want.rowConflicts);
+    EXPECT_EQ(got.forwardedReads, want.forwardedReads);
+    EXPECT_EQ(got.busBusyTicks, want.busBusyTicks);
+    EXPECT_EQ(got.totalTicks, want.totalTicks);
+    EXPECT_EQ(got.avgQueueOccupancy, want.avgQueueOccupancy);
+    EXPECT_EQ(got.avgReadLatency, want.avgReadLatency);
+}
+
+/**
+ * One horizon check at dut.now() (the next tick to run), with nothing
+ * enqueued for `limit` ticks. The twin ticks one cycle at a time
+ * through a window of up to `limit` ticks, draining before each tick
+ * below the horizon the way a per-cycle session would; dut advances
+ * through the same window with one tickWindow().
+ */
+void
+checkHorizon(DramSystem &dut, DramSystem &twin, std::uint64_t limit,
+             WorkerPool *pool, Rng &pick, HorizonCoverage *coverage)
+{
+    const Tick now = dut.now();
+    const Tick horizon = dut.visibleHorizon(now);
+    if (horizon <= now)
+        return; // A completion is due now: nothing to defer.
+    const std::uint64_t visible = horizon - now;
+    const bool beyond = pick.chance(0.3);
+    const std::uint64_t span = beyond
+        ? pick.between(1, limit) : std::min(visible, limit);
+    const std::uint64_t checked = std::min(visible, span);
+
+    // Predictions from the state the span starts in: the bus after
+    // each tick from the last one run (now - 1) through the horizon.
+    const Tick last = std::min<Tick>(horizon, now + span);
+    std::vector<char> predicted;
+    for (Tick t = now - 1; t < last; ++t)
+        predicted.push_back(dut.busyTicksIn(t, t + 1) == 1);
+    const std::uint64_t busy = dut.busyTicksIn(now - 1, now - 1 + checked);
+
+    std::uint64_t observed = 0;
+    std::uint64_t twin_integral = 0;
+    for (std::uint64_t i = 0;; ++i) {
+        const Tick shown = now - 1 + i; // The tick twin's bus shows.
+        if (shown < last) {
+            ASSERT_EQ(twin.dataBusActive(), predicted[i] != 0)
+                << "unpredicted bus state after tick " << shown
+                << ", horizon " << horizon;
+            if (i < checked)
+                observed += twin.dataBusActive();
+        }
+        if (i == span)
+            break;
+        if (now + i < horizon) {
+            ASSERT_TRUE(twin.drainCompletions().empty())
+                << "completion due at tick " << now + i << ", horizon "
+                << horizon;
+        }
+        twin.tick();
+        twin_integral += twin.occupancy();
+    }
+    EXPECT_EQ(busy, observed);
+
+    const bool sharded = pool != nullptr && span >= 8 && pick.chance(0.5);
+    const std::uint64_t integral =
+        dut.tickWindow(sharded ? pool : nullptr, span);
+    EXPECT_EQ(integral, twin_integral) << "window ending " << dut.now();
+    ASSERT_EQ(dut.now(), twin.now());
+    ASSERT_EQ(dut.dataBusActive(), twin.dataBusActive());
+    ASSERT_EQ(dut.occupancy(), twin.occupancy());
+    ASSERT_EQ(dut.readQuiescent(), twin.readQuiescent());
+    ASSERT_EQ(dut.visibleHorizon(dut.now()), twin.visibleHorizon(twin.now()));
+    expectSameSnapshot(dut.snapshot(), twin.snapshot());
+    ASSERT_NO_FATAL_FAILURE(
+        expectSameDrain(dut, twin, &coverage->delivered));
+    ++coverage->checks;
+    coverage->busyTicks += busy;
+    coverage->beyond += span > visible;
+    coverage->sharded += sharded;
+}
+
+/** Route a channel-local line to a channel by its coordinates, so a
+ * line written and read again lands on the same channel. */
+Addr
+systemAddress(const AddressMap &map, DecodedAddr dec, unsigned channels)
+{
+    dec.channel = static_cast<unsigned>(
+        (dec.row + dec.column + dec.bank + dec.bankGroup) % channels);
+    return map.encode(dec);
+}
+
+/**
+ * Drive a DramSystem (dut) and a per-tick twin with one case's
+ * traffic over `channels` channels. Completions are drained only on
+ * some ticks, so outboxes hold several ticks' worth at times. At
+ * random ticks with reads in flight and no enqueue due, run a horizon
+ * check over the quiet stretch before the next arrival.
+ */
+void
+runSystemCase(const Case &c, unsigned channels, WorkerPool *pool,
+              HorizonCoverage *coverage)
+{
+    DramConfig config;
+    config.org = orgOf(c);
+    config.org.channels = channels;
+    config.timing = timingOf(c);
+    config.queueDepth = c.depth;
+    const AddressMap map(config.org, config.policy);
+    const std::vector<Arrival> arrivals =
+        makeTraffic(c, orgOf(c), config.timing);
+
+    DramSystem dut(config);
+    DramSystem twin(config);
+    Rng pick(c.seed * 104729 + channels);
+    std::deque<Arrival> backlog;
+    std::size_t next = 0;
+    std::uint64_t tag = 0;
+    while (dut.now() < c.horizon) {
+        const Tick now = dut.now();
+        const Tick quiet_until =
+            next < arrivals.size() ? arrivals[next].at : c.horizon;
+        if (now > 0 && backlog.empty() && quiet_until > now
+            && !dut.readQuiescent() && pick.chance(0.3)) {
+            ASSERT_NO_FATAL_FAILURE(checkHorizon(
+                dut, twin, quiet_until - now, pool, pick, coverage));
+            if (dut.now() > now)
+                continue;
+        }
+
+        while (next < arrivals.size() && arrivals[next].at == now)
+            backlog.push_back(arrivals[next++]);
+        while (!backlog.empty()) {
+            const Arrival &a = backlog.front();
+            const Addr addr = systemAddress(map, a.dec, channels);
+            const bool accepted = dut.enqueue(addr, a.write, tag);
+            ASSERT_EQ(twin.enqueue(addr, a.write, tag), accepted);
+            if (!accepted)
+                break;
+            ++tag;
+            backlog.pop_front();
+        }
+        if (pick.chance(0.5)) {
+            ASSERT_NO_FATAL_FAILURE(expectSameDrain(dut, twin));
+        }
+        dut.tick();
+        twin.tick();
+        ASSERT_EQ(dut.dataBusActive(), twin.dataBusActive());
+    }
+    expectSameSnapshot(dut.snapshot(), twin.snapshot());
+    EXPECT_GT(dut.snapshot().forwardedReads, 0u);
+}
+
+TEST(ChannelEvents, DramHorizonHidesNothingAndWindowsMatchTicks)
+{
+    WorkerPool pool(2);
+    HorizonCoverage coverage;
+    for (const Case &c : cases()) {
+        for (const unsigned channels : {2u, 4u}) {
+            SCOPED_TRACE(caseName(c) + ", " + std::to_string(channels)
+                         + " channels");
+            runSystemCase(c, channels, &pool, &coverage);
+        }
+    }
+    coverage.print();
+    EXPECT_GT(coverage.checks, 1000u);
+    EXPECT_GT(coverage.busyTicks, 0u);
+    EXPECT_GT(coverage.beyond, 0u);
+    EXPECT_GT(coverage.sharded, 0u);
+    EXPECT_GT(coverage.delivered, 0u);
 }
 
 } // namespace

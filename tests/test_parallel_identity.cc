@@ -8,8 +8,10 @@
  * same fixed grids the determinism golden uses (scaled down so the
  * epoch barriers stay cheap on single-core CI) at thread counts
  * {1, 2, 4, hardware_concurrency} and byte-compare the documents; a
- * constant-rate grid exercises the batched quiescent-window path, and
- * a step-pattern test pins finish()'s epoch chunking against a manual
+ * constant-rate grid exercises the long idle spans, RingORAM's
+ * SerialController the long busy spans (reads queued, completions
+ * landing in channel outboxes inside a sharded window), and a
+ * step-pattern test pins finish()'s span jumps against a manual
  * step(1) loop.
  */
 
@@ -50,6 +52,7 @@ renderGrid(unsigned sim_threads, bool constant_rate)
     const std::vector<GridPoint> grid = {
         {ProtocolKind::Palermo, 10},
         {ProtocolKind::PathOram, 10},
+        {ProtocolKind::RingOram, 10},
     };
 
     std::vector<RunRecord> records;
@@ -91,10 +94,9 @@ TEST(ParallelIdentity, SaturatedGridBytesMatchSerial)
 TEST(ParallelIdentity, ConstantRateGridBytesMatchSerial)
 {
     // Constant-rate issue leaves long idle gaps between requests, so
-    // this grid spends most of its cycles in the batched
-    // quiescent-window path (Controller::tickIdle +
-    // DramSystem::tickWindow) — the epoch-batching half of the
-    // parallel stepping contract.
+    // this grid spends most of its cycles in deferred spans settled by
+    // Controller::tickSpan + DramSystem::tickWindow — the
+    // epoch-batching half of the parallel stepping contract.
     const std::string serial = renderGrid(1, true);
     ASSERT_FALSE(serial.empty());
     for (const unsigned threads : threadGrid()) {
@@ -119,8 +121,8 @@ runStepwise(ProtocolKind kind, const SystemConfig &config)
 
 TEST(ParallelIdentity, FinishChunkingMatchesStepwiseDrive)
 {
-    // finish() batches quiescent windows and checks done() once per
-    // epoch; an external driver steps one cycle at a time. Both must
+    // finish() jumps to each event horizon and checks done() once per
+    // real cycle; an external driver steps one cycle at a time. Both must
     // land on the same final state — here compared through the full
     // rendered document, same-config single point each.
     SystemConfig config;
