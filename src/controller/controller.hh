@@ -67,8 +67,7 @@ class Controller
      * tickSpan(cycles, 0) for an idle controller (it reads no bus).
      * Always true: idle accounting is exact for every controller.
      */
-    bool
-    tickIdle(std::uint64_t cycles)
+    bool tickIdle(std::uint64_t cycles)
     {
         tickSpan(cycles, 0);
         return true;

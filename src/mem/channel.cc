@@ -82,6 +82,10 @@ Channel::Channel(const DramOrg &org, const DramTiming &timing,
     }
     readQueue_.reserve(queue_depth);
     writeQueue_.reserve(queue_depth);
+    // The session drains the outbox before every real cycle. A
+    // deferred span adds at most one completion per read queued when
+    // it began, so only forwarded reads can outgrow this.
+    completions_.reserve(queue_depth);
 }
 
 bool

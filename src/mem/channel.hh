@@ -171,8 +171,8 @@ class Channel
     /**
      * True when no read activity is pending: the read queue is empty
      * and no completion awaits draining. Queued writes may still drain
-     * silently, so this — not occupancy() == 0 — is the channel-side
-     * gate for the batched-epoch fast path.
+     * silently, so this — not occupancy() == 0 — is the channel's
+     * half of DramSystem::readQuiescent().
      */
     bool readQuiescent() const
     {

@@ -122,7 +122,8 @@ class DramSystem
      * True when no read is queued in any channel and no completion is
      * pending delivery (channel outboxes and the internal pending list
      * are empty). Writes may still be draining; they produce no
-     * observable event, so this is the DRAM-side batched-epoch gate.
+     * event an idle controller can see, so with this and an idle
+     * controller the session defers without a DRAM bound.
      */
     bool readQuiescent() const;
 

@@ -90,10 +90,9 @@ class ObliviousKvService
     /**
      * Advance simulated time. Pumps the queue into the session, steps
      * cycle by cycle while responses are in flight (so completion
-     * ticks are exact), and skips empty gaps in one call. A cycle the
-     * session defers (its controller is parked until the DRAM answers)
-     * costs O(1) here: a counter goes up, the pump and the reap find
-     * nothing.
+     * ticks are exact), and skips empty gaps in one call. The session
+     * only counts a cycle in which its controller is idle or parked on
+     * DRAM reads, so stepping one cycle at a time stays cheap.
      * @return Responses completed during these cycles.
      */
     std::uint64_t step(std::uint64_t cycles = 1);

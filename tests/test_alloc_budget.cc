@@ -189,9 +189,9 @@ servedClosedLoopAllocsPerRequest()
 TEST(AllocBudget, ServedClosedLoopStaysPooled)
 {
     // The serving layer must add zero steady-state heap traffic on top
-    // of the pooled simulator: the session inbox and the in-flight
-    // FIFO recycle their deque chunks through owner-lifetime pools.
-    // With the inbox on the default allocator this read 0.071.
+    // of the pooled simulator: the admission queue, the session inbox
+    // and the in-flight FIFO recycle their deque chunks through
+    // owner-lifetime pools.
     EXPECT_LE(servedClosedLoopAllocsPerRequest(), 0.02);
 }
 
