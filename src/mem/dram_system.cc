@@ -7,6 +7,7 @@
 #include "mem/dram_system.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hh"
 #include "sim/parallel.hh"
@@ -90,7 +91,6 @@ DramSystem::DramSystem(const DramConfig &config)
         channels_.push_back(std::make_unique<Channel>(
             config.org, config.timing, config.queueDepth));
     }
-    beatCursor_.resize(channels_.size());
 }
 
 bool
@@ -170,33 +170,30 @@ DramSystem::visibleHorizon(Tick next) const
 std::uint64_t
 DramSystem::busyTicksIn(Tick from, Tick to) const
 {
-    // Merge the channels' beat lists by start tick (each is sorted and
-    // disjoint); `covered` is the end of the union counted so far.
-    std::fill(beatCursor_.begin(), beatCursor_.end(), 0);
+    // 64 ticks at a time: OR every channel's beats into one mask of
+    // covered ticks, so a tick two channels cover counts once. Each
+    // channel's beats are in start order, so its scan stops at the
+    // first beat past the chunk.
     std::uint64_t busy = 0;
-    Tick covered = from;
-    for (;;) {
-        const Beat *first = nullptr;
-        std::size_t owner = 0;
-        for (std::size_t c = 0; c < channels_.size(); ++c) {
-            const auto &beats = channels_[c]->beats();
-            if (beatCursor_[c] < beats.size()
-                && (first == nullptr
-                    || beats[beatCursor_[c]].start < first->start)) {
-                first = &beats[beatCursor_[c]];
-                owner = c;
+    for (Tick lo = from; lo < to; lo += 64) {
+        const Tick hi = std::min<Tick>(to, lo + 64);
+        std::uint64_t covered = 0;
+        for (const auto &channel : channels_) {
+            for (const Beat &beat : channel->beats()) {
+                if (beat.start >= hi)
+                    break;
+                if (beat.end <= lo)
+                    continue;
+                const Tick first = std::max(beat.start, lo) - lo;
+                const Tick width = std::min(beat.end, hi) - lo - first;
+                const std::uint64_t run = width == 64
+                    ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+                covered |= run << first;
             }
         }
-        if (first == nullptr || first->start >= to)
-            return busy;
-        ++beatCursor_[owner];
-        const Tick lo = std::max(first->start, covered);
-        const Tick hi = std::min(first->end, to);
-        if (hi > lo) {
-            busy += hi - lo;
-            covered = hi;
-        }
+        busy += static_cast<std::uint64_t>(std::popcount(covered));
     }
+    return busy;
 }
 
 bool

@@ -159,9 +159,6 @@ class DramSystem
     std::vector<Completion> ready_;
     std::vector<Completion> pending_;
     Tick nextDue_ = kInvalid; ///< Earliest finishTick in pending_.
-    /** busyTicksIn()'s merge cursor per channel (no allocation per
-     * call). */
-    mutable std::vector<std::size_t> beatCursor_;
 };
 
 } // namespace palermo
