@@ -3,15 +3,13 @@
  * bench_sim_speed: how fast is the simulator itself?
  *
  * Every other bench measures the simulated machine; this one measures
- * the simulator. For a grid of tree sizes (--sizes, log2 block counts),
- * protocols (--protocols), and host thread counts (--threads, the
- * --sim-threads knob; ids gain a /tN suffix beyond 1, and a /cN suffix
- * when --channels overrides the DRAM org) it runs each design point to
- * completion
- * and reports host-side speed for the post-warmup segment: simulated
- * cycles/sec, requests/sec, heap allocations per request, and peak
- * RSS (per point: the kernel's high-water mark is reset before each
- * one after the first). The simulated metrics go into the usual
+ * the simulator. For a grid of tree sizes (--sizes, log2 block counts)
+ * and protocols (--protocols; ids gain a /cN suffix when --channels
+ * overrides the DRAM org) it runs each design point to completion on
+ * one thread and reports host-side speed for the post-warmup segment:
+ * simulated cycles/sec, requests/sec, heap allocations per request,
+ * and peak RSS (per point: the kernel's high-water mark is reset
+ * before each one after the first). The simulated metrics go into the usual
  * palermo-metrics-v1 "points" records (so perf_compare can pin them
  * exactly — they are deterministic); the host-side numbers go into
  * "derived" under "speed.<id>.*" (they vary run to run and are gated
@@ -57,8 +55,7 @@ struct SpeedOptions
     std::vector<unsigned> sizes{16, 18, 20, 22, 24}; ///< log2 blocks.
     std::vector<ProtocolKind> protocols{ProtocolKind::Palermo,
                                         ProtocolKind::PathOram};
-    std::vector<unsigned> threads{1}; ///< --threads (sim-threads grid).
-    unsigned channels = 0;            ///< --channels (0 = default org).
+    unsigned channels = 0;  ///< --channels (0 = default org).
     std::uint64_t reqs = 0; ///< 0 = SystemConfig default.
     bool seedSet = false;
     std::uint64_t seed = 0;
@@ -73,8 +70,6 @@ usage(const char *argv0)
         "usage: %s [options]\n"
         "  --sizes L,L,...      log2 tree sizes (default 16,18,20,22,24)\n"
         "  --protocols P,P,...  protocol tokens (default palermo,path)\n"
-        "  --threads N,N,...    sim-threads per point (default 1); ids\n"
-        "                       gain a /tN suffix for N > 1\n"
         "  --channels N         DRAM channels (default: stock org); ids\n"
         "                       gain a /cN suffix when set\n"
         "  --reqs N             requests per point (default %u)\n"
@@ -141,19 +136,6 @@ parseSpeedArgs(int argc, const char *const *argv, SpeedOptions *options,
             }
             if (result.protocols.empty())
                 return need("at least one protocol");
-        } else if (name == "--threads") {
-            if (!cursor.value(&value))
-                return need("a comma list of thread counts");
-            result.threads.clear();
-            for (const std::string &part : splitCommas(value)) {
-                std::uint64_t count = 0;
-                if (!parseUnsigned(part, &count) || count == 0
-                    || count > 256)
-                    return need("thread counts in [1, 256]");
-                result.threads.push_back(static_cast<unsigned>(count));
-            }
-            if (result.threads.empty())
-                return need("at least one thread count");
         } else if (name == "--channels") {
             std::uint64_t channels = 0;
             if (!cursor.value(&value)
@@ -355,7 +337,6 @@ main(int argc, char **argv)
                 "sim-kcyc/s", "req/s", "allocs/req", "rss-MiB");
     for (const ProtocolKind kind : options.protocols) {
         for (const unsigned log2_blocks : options.sizes) {
-        for (const unsigned sim_threads : options.threads) {
             SystemConfig config;
             config.protocol.numBlocks = 1ull << log2_blocks;
             if (options.channels != 0)
@@ -364,7 +345,6 @@ main(int argc, char **argv)
                 config.totalRequests = options.reqs;
             if (options.seedSet)
                 config.seed = options.seed;
-            config.simThreads = sim_threads;
             config = normalizedProtocolConfig(kind, config);
 
             RunRecord record;
@@ -377,8 +357,6 @@ main(int argc, char **argv)
             if (options.channels != 0)
                 record.point.id += "/c"
                     + std::to_string(options.channels);
-            if (sim_threads > 1)
-                record.point.id += "/t" + std::to_string(sim_threads);
 
             HostSpeed speed;
             record.metrics = runPoint(kind, config, &speed);
@@ -400,7 +378,6 @@ main(int argc, char **argv)
                         speed.requestsPerSecond, speed.allocsPerRequest,
                         speed.peakRssMb);
             records.push_back(std::move(record));
-        }
         }
     }
 

@@ -21,6 +21,7 @@
 #include "common/log.hh"
 #include "sim/metrics_json.hh"
 #include "sim/protocol_registry.hh"
+#include "sim/run_cli.hh"
 #include "sim/sweep.hh"
 #include "sim/system_config.hh"
 #include "trace/trace_gen.hh"
@@ -87,17 +88,14 @@ inline BenchOptions
 parseBenchArgs(int argc, char **argv)
 {
     BenchOptions options;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const std::size_t eq = arg.find('=');
-        const std::string name =
-            eq == std::string::npos ? arg : arg.substr(0, eq);
+    ArgCursor cursor(argc - 1, argv + 1);
+    while (cursor.advance()) {
+        const std::string name = cursor.name();
         const auto value = [&]() -> std::string {
-            if (eq != std::string::npos)
-                return arg.substr(eq + 1);
-            if (i + 1 >= argc)
+            std::string text;
+            if (!cursor.value(&text))
                 fatal("flag '%s' needs a value", name.c_str());
-            return argv[++i];
+            return text;
         };
         if (name == "--help" || name == "-h") {
             std::printf("usage: %s [--json PATH] [--jobs N]\n",

@@ -86,6 +86,16 @@ Histogram::quantile(double p) const
     return max_;
 }
 
+bool
+Histogram::quantileClamped(double p) const
+{
+    palermo_assert(p >= 0.0 && p <= 1.0);
+    // quantile() stops at the first bucket whose running count passes
+    // the target; the overflow bucket is the last one.
+    const auto target = static_cast<std::uint64_t>(p * count_);
+    return target < count_ && target >= count_ - buckets_.back();
+}
+
 void
 TimeWeighted::accumulate(double level, std::uint64_t ticks)
 {

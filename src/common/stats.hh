@@ -73,6 +73,12 @@ class Histogram
     /** Approximate p-quantile (0 <= p <= 1) from bucket boundaries. */
     double quantile(double p) const;
 
+    /**
+     * True when quantile(p) falls in the overflow bucket: the value it
+     * returns is then that bucket's fixed midpoint, not a measurement.
+     */
+    bool quantileClamped(double p) const;
+
     const std::vector<std::uint64_t> &buckets() const { return buckets_; }
 
   private:
@@ -99,8 +105,9 @@ class TimeWeighted
      * (sum over `ticks` observations of an integer level) in one step.
      * Integers up to 2^53 are exact in double, and addition of exact
      * integers is associative, so this is bit-identical to `ticks`
-     * per-observation accumulate() calls — the property the batched
-     * parallel-stepping fast path relies on for byte-stable metrics.
+     * per-observation accumulate() calls — the property
+     * SimSession::settle() relies on when it accounts a deferred span
+     * in one step.
      */
     void accumulateExact(std::uint64_t integral, std::uint64_t ticks);
 

@@ -69,17 +69,13 @@
  * a CAS needs its burst to start at or after busFreeAt_, so beats never
  * overlap and at most one is active per tick.
  *
- * Thread ownership (channel-sharded parallel stepping): every mutable
- * member of Channel — banks_, both queues, rowWant_, the per-(queue,
- * bank) counts and the bank masks, the class counters, completions_,
- * the beat FIFO, refresh/drain state, the wake tick and scan memos,
- * stats_, and the pool resource backing the tFAW window and the beat
- * FIFO — is owned exclusively by this channel.
- * Channels never read or write each other's state, and `rowKey` is the
- * only static (a pure function), so disjoint channels may tick
- * concurrently on different threads within one DramSystem cycle epoch.
- * enqueue()/completions() remain coordinator-only: traffic routing and
- * completion draining happen between epochs on the session thread.
+ * Independence: every mutable member of Channel (banks, queues, masks,
+ * completions, beats, refresh/drain state, wake tick, stats, and the
+ * pool resource behind the tFAW window and the beat FIFO) belongs to
+ * this channel alone, and `rowKey` is the only static (a pure
+ * function). So within a window free of enqueues and drains each
+ * channel advances on its own, and DramSystem::tickWindow() steps the
+ * channels through it one after another.
  */
 
 #ifndef PALERMO_MEM_CHANNEL_HH

@@ -17,6 +17,7 @@
 #ifndef PALERMO_MEM_DRAM_SYSTEM_HH
 #define PALERMO_MEM_DRAM_SYSTEM_HH
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -27,8 +28,6 @@
 #include "mem/dram_timing.hh"
 
 namespace palermo {
-
-class WorkerPool;
 
 /** Construction parameters for the outsourced DRAM (Table III). */
 struct DramConfig
@@ -77,28 +76,27 @@ class DramSystem
     void tick();
 
     /**
-     * Advance one cycle with channel ticks sharded across the pool's
-     * threads (channels are mutually independent within a cycle, so
-     * the result is byte-identical to tick()). Falls back to the
-     * serial loop when the pool is trivial, there is a single channel,
-     * or every queue is empty (idle ticks are too cheap to shard).
-     */
-    void tickParallel(WorkerPool &pool);
-
-    /**
-     * Batched-epoch fast path: advance `cycles` cycles with one
-     * barrier (or none, serially, when `pool` is null/trivial).
-     * Precondition: nothing is enqueued and nothing is drained inside
-     * the window. Channels then stay independent through it, so each
-     * advances through the whole window on its own; reads may be
-     * queued, and their completions wait in the channel outboxes for
-     * the next drainCompletions().
+     * Advance `cycles` cycles in one call. Precondition: nothing is
+     * enqueued and nothing is drained inside the window. Channels then
+     * stay independent through it, so each advances through the whole
+     * window on its own; reads may be queued, and their completions
+     * wait in the channel outboxes for the next drainCompletions().
      * @return Sum over the window of post-tick occupancy() across all
      *         channels (exact: integer addends), so the caller can
      *         keep its time-weighted occupancy bit-identical to the
      *         per-cycle path.
      */
-    std::uint64_t tickWindow(WorkerPool *pool, std::uint64_t cycles);
+    std::uint64_t tickWindow(std::uint64_t cycles);
+
+    /**
+     * Old two-argument form, kept only because
+     * benchmark/palermo_bench.cc still calls it (ROADMAP item 4 drops
+     * it together with that call).
+     */
+    std::uint64_t tickWindow(std::nullptr_t, std::uint64_t cycles)
+    {
+        return tickWindow(cycles);
+    }
 
     /**
      * First tick at which the DRAM can show a parked controller

@@ -5,9 +5,9 @@
  * Open-loop tenants are expanded into a single merged arrival schedule
  * before the service is even constructed — every arrival instant, key,
  * and write flag is a pure function of (spec, tenant index), so the
- * merged schedule is byte-deterministic and, because the service itself
- * is sim-thread-invisible, so is every output byte across --sim-threads
- * values. Closed-loop tenants ride the completion sink: each response
+ * merged schedule is byte-deterministic and, because the service steps
+ * deterministically on the caller's thread, so is every output byte.
+ * Closed-loop tenants ride the completion sink: each response
  * re-issues that tenant's next request, the classic think-time-zero
  * discipline, attributed per tenant.
  *
@@ -46,7 +46,6 @@ namespace palermo {
 /** How to run a scenario (driver-level knobs, not part of the spec). */
 struct ScenarioRunOptions
 {
-    unsigned simThreads = 1;
     bool isolation = true; ///< Run per-tenant isolation baselines.
     bool security = true;  ///< Record the leaf trace, run the gates.
 };
@@ -153,8 +152,10 @@ bool runScenario(const ScenarioSpec &spec,
 /**
  * Scenario-level sanity gate: per-tenant accounting closes (accepted ==
  * completed after the drain, tenant sums match the global scope),
- * quantiles are ordered, the stash behaved, and the security gates
- * hold when they ran. A requested gate that could not run for lack of
+ * quantiles are ordered, no reported latency or queueing-delay
+ * quantile of the global or a tenant scope lies in its histogram's
+ * overflow bucket, the stash behaved, and the security gates hold
+ * when they ran. A requested gate that could not run for lack of
  * leaf observations is a problem too. Appends one line per problem;
  * true when clean.
  */

@@ -165,13 +165,6 @@ parseScenarioCliArgs(int argc, const char *const *argv,
             if (!cursor.value(&value))
                 return fail(error, "--scenario needs a file path");
             result.scenarioPath = value;
-        } else if (name == "--sim-threads") {
-            std::uint64_t threads = 0;
-            if (!cursor.value(&value)
-                || !parseUnsigned(value, &threads) || threads == 0)
-                return fail(error,
-                            "--sim-threads needs a positive integer");
-            result.simThreads = static_cast<unsigned>(threads);
         } else if (name == "--json") {
             if (!cursor.value(&value))
                 return fail(error, "--json needs a path (or '-')");
@@ -314,9 +307,6 @@ scenarioUsage()
        << "                      and closed-loop concurrencies times F "
           "(one\n"
        << "                      point id .../load=F per factor)\n"
-       << "  --sim-threads N     threads stepping each session\n"
-       << "                      (byte-identical to serial; "
-          "default: 1)\n"
        << "  --no-isolation      skip the per-tenant isolation "
           "baselines\n"
        << "  --no-security       skip the merged-trace security "

@@ -23,7 +23,6 @@ struct ScenarioCliOptions
     std::string jsonPath;       ///< --json PATH ("-" = stdout).
     /** --sweep F,F,...: one run per load factor (see scaledSpec). */
     std::vector<double> sweep;
-    unsigned simThreads = 1;    ///< --sim-threads N per session.
     bool noIsolation = false;   ///< --no-isolation: skip baselines.
     bool noSecurity = false;    ///< --no-security: skip the gates.
     bool listProtocols = false; ///< --list-protocols (the table).
@@ -33,7 +32,6 @@ struct ScenarioCliOptions
     ScenarioRunOptions runOptions() const
     {
         ScenarioRunOptions options;
-        options.simThreads = simThreads;
         options.isolation = !noIsolation;
         options.security = !noSecurity;
         return options;

@@ -10,17 +10,22 @@
  * SimSession at a bounded depth — so the full Palermo timing stack
  * (controller, DRAM, crypto latency) prices every response.
  *
- * Completion attribution: the ORAM controller retires the real
- * requests it admitted in order, so the service matches served-count
- * deltas against its in-flight FIFO — no per-request tags cross the
- * controller boundary. End-to-end latency is completion tick minus
- * arrival tick (client-side blocking and queueing included);
- * queueing delay is admission tick minus arrival tick.
+ * Completion attribution: the service matches served-count deltas
+ * against its in-flight FIFO, oldest first; no per-request tags cross
+ * the controller boundary. That is exact only while the controller
+ * retires the real requests it admitted in order, and palermo-pf does
+ * not: PalermoController::push counts a prefetch-filter hit or a
+ * merged miss as served at admission, while older requests are still
+ * in flight, so the oldest request is credited with that completion
+ * and its tenant and latency are wrong (ROADMAP item 1 carries request
+ * ids through the stack to fix this). End-to-end latency is
+ * completion tick minus arrival tick (client-side blocking and
+ * queueing included); queueing delay is admission tick minus arrival
+ * tick.
  *
  * Everything is deterministic in (config, arrival sequence): stepping
- * happens on the caller's thread, the session's channel-sharded
- * parallelism (config.system.simThreads) is byte-invisible, and no
- * wall-clock value enters any statistic.
+ * happens on the caller's thread, and no wall-clock value enters any
+ * statistic.
  */
 
 #ifndef PALERMO_SERVICE_KV_SERVICE_HH

@@ -30,10 +30,8 @@ writeHistogramSummary(JsonWriter &w, const Histogram &histogram)
     w.field("count", histogram.count());
     w.field("mean", histogram.mean());
     w.field("min", histogram.min());
-    w.field("p50", histogram.quantile(0.50));
-    w.field("p95", histogram.quantile(0.95));
-    w.field("p99", histogram.quantile(0.99));
-    w.field("p999", histogram.quantile(0.999));
+    for (const ReportedQuantile &q : kReportedQuantiles)
+        w.field(q.key, histogram.quantile(q.p));
     w.field("max", histogram.max());
     w.endObject();
 }

@@ -77,11 +77,21 @@ struct ServiceSnapshot
     std::size_t queueHighWatermark = 0;
 };
 
+/** One quantile a latency summary reports, with its JSON key. */
+struct ReportedQuantile
+{
+    double p;
+    const char *key;
+};
+
+/** The quantiles every latency and queueing-delay summary reports. */
+inline constexpr ReportedQuantile kReportedQuantiles[] = {
+    {0.50, "p50"}, {0.95, "p95"}, {0.99, "p99"}, {0.999, "p999"}};
+
 /**
  * Append one scope as a JSON object under the current key: counters,
- * rates, and p50/p95/p99/p99.9 latency + queueing-delay summaries.
- * Deterministic field order; byte-stable across runs and sim-thread
- * counts.
+ * rates, and kReportedQuantiles of latency and queueing delay.
+ * Deterministic field order; byte-stable across runs.
  */
 void writeServiceScope(JsonWriter &w, const ServiceScopeSnapshot &scope);
 

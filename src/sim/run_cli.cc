@@ -88,13 +88,6 @@ parseRunArgs(int argc, const char *const *argv, RunOptions *options,
                 || jobs == 0)
                 return fail(error, "--jobs needs a positive integer");
             result.jobs = static_cast<unsigned>(jobs);
-        } else if (name == "--sim-threads") {
-            std::uint64_t threads = 0;
-            if (!cursor.value(&value)
-                || !parseUnsigned(value, &threads) || threads == 0)
-                return fail(error,
-                            "--sim-threads needs a positive integer");
-            result.simThreads = static_cast<unsigned>(threads);
         } else {
             return fail(error, "unknown flag '" + name + "'");
         }
@@ -118,7 +111,6 @@ RunOptions::baseConfig() const
         config.protocol.seed = seed;
     }
     config.constantRate = constantRate;
-    config.simThreads = simThreads;
     return config;
 }
 
@@ -218,9 +210,6 @@ runUsage()
        << "                    channels, prefetch, seed; repeatable\n"
        << "  --jobs N          worker threads for the sweep "
           "(default: 1)\n"
-       << "  --sim-threads N   threads stepping each session "
-          "(channel-sharded,\n"
-       << "                    byte-identical to serial; default: 1)\n"
        << "  --json PATH       write palermo-metrics-v1 JSON "
           "('-' = stdout)\n"
        << "  --list            print the expanded grid and exit\n"
@@ -282,13 +271,6 @@ parseReplayArgs(int argc, const char *const *argv,
                 || result.progress == 0)
                 return fail(error,
                             "--progress needs a positive integer");
-        } else if (name == "--sim-threads") {
-            std::uint64_t threads = 0;
-            if (!cursor.value(&value)
-                || !parseUnsigned(value, &threads) || threads == 0)
-                return fail(error,
-                            "--sim-threads needs a positive integer");
-            result.simThreads = static_cast<unsigned>(threads);
         } else if (name == "--json") {
             if (!cursor.value(&value))
                 return fail(error, "--json needs a path (or '-')");
@@ -313,7 +295,6 @@ ReplayOptions::baseConfig() const
         config.seed = seed;
         config.protocol.seed = seed;
     }
-    config.simThreads = simThreads;
     return config;
 }
 
@@ -338,9 +319,6 @@ replayUsage()
           "controller (default: 8)\n"
        << "  --progress N      print a mid-run snapshot line to stderr "
           "every N served\n"
-       << "  --sim-threads N   threads stepping the session "
-          "(channel-sharded,\n"
-       << "                    byte-identical to serial; default: 1)\n"
        << "  --json PATH       write palermo-metrics-v1 JSON "
           "('-' = stdout)\n"
        << "  --list-protocols  print the protocol table and exit\n"

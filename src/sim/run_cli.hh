@@ -94,7 +94,6 @@ struct RunOptions
     std::string sweep;             ///< Joined --sweep clauses.
     std::string jsonPath;          ///< --json PATH ("-" = stdout).
     unsigned jobs = 1;             ///< --jobs N worker threads.
-    unsigned simThreads = 1;       ///< --sim-threads N per session.
     bool listPoints = false;       ///< --list: print grid, don't run.
     bool listProtocols = false;    ///< --list-protocols (the table).
     bool listWorkloads = false;    ///< --list-workloads.
@@ -131,7 +130,6 @@ struct ReplayOptions
 
     std::uint64_t depth = 8;       ///< --depth: submit-queue bound.
     std::uint64_t progress = 0;    ///< --progress N (0 = off).
-    unsigned simThreads = 1;       ///< --sim-threads N per session.
     std::string jsonPath;          ///< --json PATH ("-" = stdout).
     bool listProtocols = false;    ///< --list-protocols (the table).
     bool help = false;             ///< --help / -h.

@@ -49,8 +49,6 @@ SimSession::SimSession(const SystemConfig &config,
       measuring_(warmupServed_ == 0), nextSample_(window_)
 {
     palermo_assert(controller_ != nullptr);
-    if (config.simThreads > 1)
-        pool_ = std::make_unique<WorkerPool>(config.simThreads);
 }
 
 void
@@ -90,15 +88,6 @@ SimSession::admit(Tick now)
     }
 }
 
-void
-SimSession::tickDram()
-{
-    if (pool_ != nullptr)
-        dram_->tickParallel(*pool_);
-    else
-        dram_->tick();
-}
-
 Tick
 SimSession::nextHorizon() const
 {
@@ -136,8 +125,7 @@ SimSession::settle() const
     const Tick from = dram_->now();
     controller_->tickSpan(span,
                           dram_->busyTicksIn(from - 1, from - 1 + span));
-    outstanding_.accumulateExact(dram_->tickWindow(pool_.get(), span),
-                                 span);
+    outstanding_.accumulateExact(dram_->tickWindow(span), span);
 }
 
 void
@@ -155,7 +143,7 @@ SimSession::runCycle()
     admit(now);
 
     controller_->tick(*dram_);
-    tickDram();
+    dram_->tick();
     outstanding_.accumulate(static_cast<double>(dram_->occupancy()), 1);
 
     ControllerStats &cs = controller_->stats();
@@ -209,7 +197,7 @@ SimSession::drain()
         for (const Completion &completion : dram_->drainCompletions())
             controller_->onCompletion(completion.tag);
         controller_->tick(*dram_);
-        tickDram();
+        dram_->tick();
         outstanding_.accumulate(
             static_cast<double>(dram_->occupancy()), 1);
     }

@@ -9,8 +9,7 @@
  * any point through snapshot(). Warmup accounting and the Fig. 12
  * stash-window sampling stay inside the session, so every driver —
  * the built-in runExperiment wrapper, the palermo_replay trace
- * replayer, a multi-tenant interleaver, a rate-controlled load
- * generator — measures identically.
+ * replayer, the ObliviousKvService pump — measures identically.
  *
  * The decomposition is cycle-exact with the old run() loop: every
  * simulated cycle has the effect of one iteration of the legacy loop
@@ -38,13 +37,8 @@
  * tests/test_session_horizon.cc checks all of it against a per-cycle
  * reference loop.
  *
- * With config.simThreads > 1 the session owns a WorkerPool and shards
- * channel ticks across it inside each cycle (and settles spans of 8 or
- * more cycles with one barrier). Channels are independent within a
- * cycle and within a span, and the controller/frontend half stays on
- * the coordinating thread, so the parallel schedule is an
- * implementation detail: every stat, stash sample, and metrics byte is
- * identical to the serial run (tests/test_parallel_identity.cc).
+ * A session steps on the thread that drives it. Host parallelism is
+ * one session per SweepRunner worker (--jobs), never inside one.
  */
 
 #ifndef PALERMO_SIM_SESSION_HH
@@ -60,7 +54,6 @@
 #include "controller/controller.hh"
 #include "mem/dram_system.hh"
 #include "sim/frontend.hh"
-#include "sim/parallel.hh"
 #include "sim/system_config.hh"
 
 namespace palermo {
@@ -204,7 +197,6 @@ class SimSession
   private:
     void runCycle();
     void admit(Tick now);
-    void tickDram();
 
     /** The first cycle after a real one that must run for real (see
      * the file comment), capped at the runaway guard. */
@@ -222,7 +214,6 @@ class SimSession
     std::unique_ptr<DramSystem> dram_;
     std::unique_ptr<Controller> controller_;
     std::unique_ptr<Frontend> frontend_; ///< Null when externally fed.
-    std::unique_ptr<WorkerPool> pool_;   ///< Null when simThreads <= 1.
     /** Backs inbox_; declared before it. */
     std::pmr::unsynchronized_pool_resource inboxPool_;
     /** submit()ted, not admitted. */

@@ -66,9 +66,9 @@ struct SystemConfig
     std::uint64_t seed = 1;
 
     /**
-     * Host threads stepping one session (channel-sharded DRAM ticks);
-     * 1 = fully serial. An execution knob, not a design point: results
-     * are byte-identical at any value, so it is deliberately excluded
+     * Read by nothing: every session steps on its caller's thread.
+     * Kept only because benchmark/palermo_bench.cc still sets it
+     * (ROADMAP item 4 drops it together with that line). Excluded
      * from describe() and the metrics-JSON config block.
      */
     unsigned simThreads = 1;

@@ -36,15 +36,13 @@ namespace {
 double
 steadyStateAllocsPerRequest(ProtocolKind kind,
                             Workload workload = Workload::Stream,
-                            unsigned prefetch_len = 1,
-                            unsigned sim_threads = 1)
+                            unsigned prefetch_len = 1)
 {
     SystemConfig config;
     config.protocol.numBlocks = 1ull << 11; // 2048 blocks.
     config.protocol.prefetchLen = prefetch_len;
     config.totalRequests = 6000;            // Warmup 3000 > numBlocks.
     config.seed = 1;
-    config.simThreads = sim_threads;
 
     auto session = makeSession(kind, workload, config);
     const std::uint64_t warmup_served = static_cast<std::uint64_t>(
@@ -85,17 +83,6 @@ TEST(AllocBudget, PalermoSteadyStateStaysPooled)
 TEST(AllocBudget, PathOramSteadyStateStaysPooled)
 {
     EXPECT_LE(steadyStateAllocsPerRequest(ProtocolKind::PathOram), 2.0);
-}
-
-TEST(AllocBudget, ParallelSteppingStaysPooled)
-{
-    // --sim-threads must not reintroduce per-request allocation: the
-    // WorkerPool's threads are created at session construction (before
-    // the measured segment) and its epoch dispatch is a raw function
-    // pointer plus caller-owned context — zero heap traffic per cycle.
-    EXPECT_LE(steadyStateAllocsPerRequest(ProtocolKind::Palermo,
-                                          Workload::Stream, 1, 2),
-              2.0);
 }
 
 TEST(AllocBudget, EveryProtocolStaysPooledOnRandom)

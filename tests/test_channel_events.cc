@@ -21,8 +21,8 @@
  * one cycle at a time up to visibleHorizon() makes no completion due
  * and starts no beat that busyTicksIn() did not predict, and
  * tickWindow() over such a span (or any span free of enqueues and
- * drains, sharded or not) equals as many single ticks in state,
- * completions and statistics.
+ * drains) equals as many single ticks in state, completions and
+ * statistics.
  */
 
 #include <gtest/gtest.h>
@@ -36,7 +36,6 @@
 #include "common/rng.hh"
 #include "mem/channel.hh"
 #include "mem/dram_system.hh"
-#include "sim/parallel.hh"
 
 namespace palermo {
 namespace {
@@ -700,18 +699,16 @@ struct HorizonCoverage
     std::uint64_t checks = 0;      ///< Horizon checks with reads in flight.
     std::uint64_t busyTicks = 0;   ///< Busy ticks inside checked spans.
     std::uint64_t beyond = 0;      ///< Windows longer than the horizon.
-    std::uint64_t sharded = 0;     ///< Windows through the worker pool.
     std::uint64_t delivered = 0;   ///< Completions due after a window.
 
     void print() const
     {
         std::printf("horizon checks %llu, busy ticks %llu, windows "
-                    "past the horizon %llu, sharded %llu, completions "
-                    "after a window %llu\n",
+                    "past the horizon %llu, completions after a "
+                    "window %llu\n",
                     static_cast<unsigned long long>(checks),
                     static_cast<unsigned long long>(busyTicks),
                     static_cast<unsigned long long>(beyond),
-                    static_cast<unsigned long long>(sharded),
                     static_cast<unsigned long long>(delivered));
     }
 };
@@ -771,7 +768,7 @@ expectSameSnapshot(const DramSnapshot &got, const DramSnapshot &want)
  */
 void
 checkHorizon(DramSystem &dut, DramSystem &twin, std::uint64_t limit,
-             WorkerPool *pool, Rng &pick, HorizonCoverage *coverage)
+             Rng &pick, HorizonCoverage *coverage)
 {
     const Tick now = dut.now();
     const Tick horizon = dut.visibleHorizon(now);
@@ -814,9 +811,7 @@ checkHorizon(DramSystem &dut, DramSystem &twin, std::uint64_t limit,
     }
     EXPECT_EQ(busy, observed);
 
-    const bool sharded = pool != nullptr && span >= 8 && pick.chance(0.5);
-    const std::uint64_t integral =
-        dut.tickWindow(sharded ? pool : nullptr, span);
+    const std::uint64_t integral = dut.tickWindow(span);
     EXPECT_EQ(integral, twin_integral) << "window ending " << dut.now();
     ASSERT_EQ(dut.now(), twin.now());
     ASSERT_EQ(dut.dataBusActive(), twin.dataBusActive());
@@ -829,7 +824,6 @@ checkHorizon(DramSystem &dut, DramSystem &twin, std::uint64_t limit,
     ++coverage->checks;
     coverage->busyTicks += busy;
     coverage->beyond += span > visible;
-    coverage->sharded += sharded;
 }
 
 /** Route a channel-local line to a channel by its coordinates, so a
@@ -850,8 +844,7 @@ systemAddress(const AddressMap &map, DecodedAddr dec, unsigned channels)
  * check over the quiet stretch before the next arrival.
  */
 void
-runSystemCase(const Case &c, unsigned channels, WorkerPool *pool,
-              HorizonCoverage *coverage)
+runSystemCase(const Case &c, unsigned channels, HorizonCoverage *coverage)
 {
     DramConfig config;
     config.org = orgOf(c);
@@ -875,7 +868,7 @@ runSystemCase(const Case &c, unsigned channels, WorkerPool *pool,
         if (now > 0 && backlog.empty() && quiet_until > now
             && !dut.readQuiescent() && pick.chance(0.3)) {
             ASSERT_NO_FATAL_FAILURE(checkHorizon(
-                dut, twin, quiet_until - now, pool, pick, coverage));
+                dut, twin, quiet_until - now, pick, coverage));
             if (dut.now() > now)
                 continue;
         }
@@ -905,20 +898,18 @@ runSystemCase(const Case &c, unsigned channels, WorkerPool *pool,
 
 TEST(ChannelEvents, DramHorizonHidesNothingAndWindowsMatchTicks)
 {
-    WorkerPool pool(2);
     HorizonCoverage coverage;
     for (const Case &c : cases()) {
         for (const unsigned channels : {2u, 4u}) {
             SCOPED_TRACE(caseName(c) + ", " + std::to_string(channels)
                          + " channels");
-            runSystemCase(c, channels, &pool, &coverage);
+            runSystemCase(c, channels, &coverage);
         }
     }
     coverage.print();
     EXPECT_GT(coverage.checks, 1000u);
     EXPECT_GT(coverage.busyTicks, 0u);
     EXPECT_GT(coverage.beyond, 0u);
-    EXPECT_GT(coverage.sharded, 0u);
     EXPECT_GT(coverage.delivered, 0u);
 }
 

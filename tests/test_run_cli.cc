@@ -126,6 +126,8 @@ TEST(ParseRunArgs, RejectsBadInput)
     EXPECT_FALSE(parse({"--blocks", "zero"}, &options, &error));
     EXPECT_FALSE(parse({"--blocks", "0"}, &options, &error));
     EXPECT_FALSE(parse({"--jobs", "0"}, &options, &error));
+    EXPECT_FALSE(parse({"--sim-threads", "2"}, &options, &error));
+    EXPECT_NE(error.find("unknown flag"), std::string::npos) << error;
     EXPECT_FALSE(parse({"--frobnicate"}, &options, &error));
     EXPECT_FALSE(error.empty());
 }
@@ -246,7 +248,8 @@ TEST(ParseReplayArgs, RejectsBadInput)
     EXPECT_FALSE(parseReplay({"--depth", "0"}, &options, &error));
     EXPECT_FALSE(parseReplay({"--progress", "x"}, &options, &error));
     EXPECT_FALSE(parseReplay({"--jobs", "2"}, &options, &error));
-    EXPECT_FALSE(error.empty());
+    EXPECT_FALSE(parseReplay({"--sim-threads", "2"}, &options, &error));
+    EXPECT_NE(error.find("unknown flag"), std::string::npos) << error;
 }
 
 } // namespace

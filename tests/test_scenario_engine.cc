@@ -1,10 +1,10 @@
 /**
  * @file Scenario engine tests: accounting invariants of a shared
  * multi-tenant run (per-tenant sums match globals, accepted ==
- * completed after drain), byte-identity of the rendered document
- * across --sim-threads 1/2/4, isolation baselines, closed-loop
- * concurrency limits, and trace-backed tenants (via the checked-in
- * tiny.trace).
+ * completed after drain), the sanity gate on tampered outcomes,
+ * byte-identity of the rendered document across repeat runs,
+ * isolation baselines, closed-loop concurrency limits, and
+ * trace-backed tenants (via the checked-in tiny.trace).
  */
 
 #include <gtest/gtest.h>
@@ -105,23 +105,39 @@ TEST(ScenarioEngineTest, SanityGateCatchesLostRequests)
     EXPECT_EQ(problems.size(), 2u);
 }
 
-TEST(ScenarioEngineTest, DocumentBytesIdenticalAcrossSimThreads)
+TEST(ScenarioEngineTest, SanityGateCatchesClampedTailQuantiles)
 {
-    const ScenarioSpec spec = smallSpec();
-    std::string baseline;
-    for (unsigned threads : {1u, 2u, 4u}) {
-        ScenarioRunOptions options;
-        options.simThreads = threads;
-        ScenarioOutcome outcome;
-        std::string error;
-        ASSERT_TRUE(runScenario(spec, options, &outcome, &error))
-            << "threads=" << threads << ": " << error;
-        const std::string doc = scenarioDocument(outcome, "unit");
-        if (baseline.empty())
-            baseline = doc;
-        else
-            EXPECT_EQ(doc, baseline) << "threads=" << threads;
-    }
+    ScenarioOutcome outcome;
+    std::string error;
+    ASSERT_TRUE(runScenario(smallSpec(), fastOptions(), &outcome,
+                            &error))
+        << error;
+    std::vector<std::string> problems;
+    ASSERT_TRUE(scenarioSanityCheck(outcome, &problems))
+        << (problems.empty() ? "" : problems.front());
+
+    // Simulate tails past the histograms' range: twice as many
+    // million-cycle admissions as the run recorded, and a ninth more
+    // million-cycle responses for the closed tenant. The quantiles they
+    // push into the overflow bucket would print its constant.
+    Histogram &queueing = outcome.service.global.queueingDelay;
+    for (std::uint64_t i = 0, n = 2 * queueing.count(); i < n; ++i)
+        queueing.sample(1e6);
+    ASSERT_EQ(outcome.tenants[1].name, "closed");
+    Histogram &latency = outcome.tenants[1].scope.latency;
+    for (std::uint64_t i = 0, n = latency.count() / 9 + 1; i < n; ++i)
+        latency.sample(1e6);
+
+    EXPECT_FALSE(scenarioSanityCheck(outcome, &problems));
+    ASSERT_EQ(problems.size(), 2u);
+    EXPECT_NE(problems[0].find("unit: queueing delay p50 and above"),
+              std::string::npos)
+        << problems[0];
+    EXPECT_NE(problems[1].find("tenant closed: latency p95 and above"),
+              std::string::npos)
+        << problems[1];
+    for (const std::string &problem : problems)
+        EXPECT_NE(problem.find("overflow bucket"), std::string::npos);
 }
 
 TEST(ScenarioEngineTest, RepeatRunsAreByteIdentical)

@@ -1,10 +1,10 @@
 /**
  * @file Load-sweep tests for palermo_scenario --sweep: factor-list
- * parsing, scaledSpec (rates, rate curves, concurrencies, and the
- * non-integer concurrency error), the load=1 point against the unswept
- * run, an open-loop point far below saturation, a scaled closed-loop
- * point, and byte-identity of the sweep document across repeat runs
- * and --sim-threads 1/2.
+ * parsing (and the rejection of a removed flag), scaledSpec (rates,
+ * rate curves, concurrencies, and the non-integer concurrency error),
+ * the load=1 point against the unswept run, an open-loop point far
+ * below saturation, a scaled closed-loop point, and byte-identity of
+ * the sweep document across repeat runs.
  */
 
 #include <gtest/gtest.h>
@@ -55,6 +55,15 @@ TEST(ScenarioSweepTest, RejectsMalformedFactors)
         EXPECT_NE(error.find("--sweep"), std::string::npos) << bad;
     }
     EXPECT_FALSE(parse({"--sweep"}, &options, &error));
+}
+
+TEST(ScenarioCliTest, RejectsRemovedSimThreadsFlag)
+{
+    ScenarioCliOptions options;
+    std::string error;
+    EXPECT_FALSE(parse({"s.json", "--sim-threads", "2"}, &options, &error));
+    EXPECT_NE(error.find("unknown flag '--sim-threads'"), std::string::npos)
+        << error;
 }
 
 /** One open tenant (with a rate curve) and one closed tenant. */
@@ -225,22 +234,20 @@ TEST(ScenarioSweepTest, ClosedLoopPointRunsScaledConcurrency)
 }
 
 std::string
-sweepDocument(unsigned sim_threads)
+sweepDocument()
 {
-    ScenarioRunOptions options;
-    options.simThreads = sim_threads;
     const std::vector<double> factors{1.0, 2.0};
     std::vector<ScenarioOutcome> outcomes;
     for (double factor : factors)
-        outcomes.push_back(runScaled(mixedSpec(), factor, options));
+        outcomes.push_back(
+            runScaled(mixedSpec(), factor, ScenarioRunOptions{}));
     return scenarioSweepDocument(outcomes, factors, "unit");
 }
 
 TEST(ScenarioSweepTest, DocumentIsByteDeterministic)
 {
-    const std::string first = sweepDocument(1);
-    EXPECT_EQ(first, sweepDocument(1));
-    EXPECT_EQ(first, sweepDocument(2));
+    const std::string first = sweepDocument();
+    EXPECT_EQ(first, sweepDocument());
 
     EXPECT_NE(first.find("\"id\": \"palermo/scenario/mixed/load=1\""),
               std::string::npos);

@@ -12,6 +12,7 @@
 
 #include "sim/experiment.hh"
 #include "sim/metrics_json.hh"
+#include "sim/protocol_registry.hh"
 #include "sim/sweep.hh"
 
 namespace palermo {
@@ -127,6 +128,32 @@ TEST(SimSession, FrontendBoundSessionEqualsRunExperiment)
               renderDocument(ProtocolKind::RingOram, Workload::Mcf,
                              config, driven));
     EXPECT_TRUE(session.done());
+}
+
+TEST(SimSession, FinishChunkingMatchesStepwiseDrive)
+{
+    // finish() jumps to each event horizon and checks done() once per
+    // real cycle; an external driver steps one cycle at a time. Under
+    // constant-rate issue most cycles are deferred, and both drives
+    // must still land on the same rendered document.
+    SystemConfig config;
+    config.protocol.numBlocks = 1ull << 10;
+    config.totalRequests = 150;
+    config.seed = 7;
+    config.constantRate = true;
+    config = normalizedProtocolConfig(ProtocolKind::Palermo, config);
+
+    const RunMetrics chunked =
+        runExperiment(ProtocolKind::Palermo, Workload::Random, config);
+    SimSession stepwise(ProtocolKind::Palermo, config,
+                        makeFrontend(Workload::Random, config));
+    while (!stepwise.done())
+        stepwise.step(1);
+    stepwise.drain();
+    EXPECT_EQ(renderDocument(ProtocolKind::Palermo, Workload::Random,
+                             config, chunked),
+              renderDocument(ProtocolKind::Palermo, Workload::Random,
+                             config, stepwise.snapshot()));
 }
 
 TEST(SimSession, StepAdvancesExactlyTheRequestedCycles)

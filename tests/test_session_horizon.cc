@@ -14,10 +14,8 @@
  * cycle counters, on the DramSnapshot and on the occupancy integral.
  *
  * The grid covers all eight protocols; frontend-bound saturated,
- * constant-rate and inbox-fed sessions; step sizes 1, 7 and 1000 with
- * a snapshot() every 50 cycles (each one settles mid-span); and one
- * serial and one simThreads = 2 run of each, whose spans of 8 or more
- * cycles settle through the sharded DramSystem::tickWindow.
+ * constant-rate and inbox-fed sessions; step sizes 1, 7 and 1000; and
+ * a snapshot() every 50 cycles (each one settles mid-span).
  */
 
 #include <gtest/gtest.h>
@@ -170,7 +168,7 @@ trafficName(Traffic traffic)
 }
 
 SystemConfig
-configFor(ProtocolKind kind, Traffic traffic, unsigned sim_threads)
+configFor(ProtocolKind kind, Traffic traffic)
 {
     SystemConfig config;
     config.protocol.numBlocks = 1ull << 10;
@@ -178,7 +176,6 @@ configFor(ProtocolKind kind, Traffic traffic, unsigned sim_threads)
     config.seed = 5;
     config.constantRate = traffic == Traffic::ConstantRate;
     config.issueInterval = 150;
-    config.simThreads = sim_threads;
     return normalizedProtocolConfig(kind, config);
 }
 
@@ -235,14 +232,12 @@ expectSameState(const SimSession &session, const RefLoop &ref)
 /** Drive the session and the oracle in steps of `step` cycles and
  * compare them at every boundary. */
 void
-runCase(ProtocolKind kind, Traffic traffic, std::uint64_t step,
-        unsigned sim_threads)
+runCase(ProtocolKind kind, Traffic traffic, std::uint64_t step)
 {
     SCOPED_TRACE(std::string(protocolShortName(kind)) + " "
                  + trafficName(traffic) + " step "
-                 + std::to_string(step) + " threads "
-                 + std::to_string(sim_threads));
-    const SystemConfig config = configFor(kind, traffic, sim_threads);
+                 + std::to_string(step));
+    const SystemConfig config = configFor(kind, traffic);
     const bool inbox = traffic == Traffic::Inbox;
     SimSession session =
         inbox ? SimSession(kind, config)
@@ -292,22 +287,19 @@ class SessionHorizon : public ::testing::TestWithParam<ProtocolKind>
 TEST_P(SessionHorizon, SaturatedMatchesPerCycleLoop)
 {
     for (const std::uint64_t step : {1, 7, 1000})
-        for (const unsigned threads : {1u, 2u})
-            runCase(GetParam(), Traffic::Saturated, step, threads);
+        runCase(GetParam(), Traffic::Saturated, step);
 }
 
 TEST_P(SessionHorizon, ConstantRateMatchesPerCycleLoop)
 {
     for (const std::uint64_t step : {1, 7, 1000})
-        for (const unsigned threads : {1u, 2u})
-            runCase(GetParam(), Traffic::ConstantRate, step, threads);
+        runCase(GetParam(), Traffic::ConstantRate, step);
 }
 
 TEST_P(SessionHorizon, InboxMatchesPerCycleLoop)
 {
     for (const std::uint64_t step : {1, 7, 1000})
-        for (const unsigned threads : {1u, 2u})
-            runCase(GetParam(), Traffic::Inbox, step, threads);
+        runCase(GetParam(), Traffic::Inbox, step);
 }
 
 /** finish() jumps straight to each horizon; it must land where the
@@ -315,7 +307,7 @@ TEST_P(SessionHorizon, InboxMatchesPerCycleLoop)
 TEST_P(SessionHorizon, FinishMatchesPerCycleLoop)
 {
     const ProtocolKind kind = GetParam();
-    const SystemConfig config = configFor(kind, Traffic::Saturated, 1);
+    const SystemConfig config = configFor(kind, Traffic::Saturated);
     SimSession session(kind, config,
                        makeFrontend(Workload::Random, config));
     RefLoop ref(kind, config, makeFrontend(Workload::Random, config));

@@ -55,6 +55,25 @@ TEST(Histogram, OverflowBucketCatchesLargeSamples)
     EXPECT_EQ(h.buckets().back(), 1u);
 }
 
+TEST(Histogram, QuantileClampedMarksTheOverflowBucket)
+{
+    // Ten regular buckets of width 10, then 2 of 10 samples past them.
+    Histogram h(10.0, 10);
+    EXPECT_FALSE(h.quantileClamped(0.5)); // Empty.
+    for (int i = 0; i < 8; ++i)
+        h.sample(5.0);
+    h.sample(500.0);
+    h.sample(900.0);
+    EXPECT_FALSE(h.quantileClamped(0.5));
+    EXPECT_FALSE(h.quantileClamped(0.79));
+    EXPECT_TRUE(h.quantileClamped(0.8));
+    EXPECT_TRUE(h.quantileClamped(0.99));
+    EXPECT_DOUBLE_EQ(h.quantile(0.99), 105.0); // The bucket's midpoint.
+    // p = 1 reports the exact max, not the bucket.
+    EXPECT_FALSE(h.quantileClamped(1.0));
+    EXPECT_DOUBLE_EQ(h.quantile(1.0), 900.0);
+}
+
 TEST(Histogram, MedianApproximation)
 {
     Histogram h(1.0, 100);

@@ -112,8 +112,7 @@ main(int argc, char **argv)
         if (options.progress && session.served() >= next_progress) {
             next_progress += options.progress;
             const RunMetrics mid = session.snapshot();
-            // Wall-clock throughput alongside simulated time, so
-            // --sim-threads scaling is visible mid-run.
+            // Wall-clock throughput alongside simulated time.
             const std::chrono::duration<double> wall =
                 std::chrono::steady_clock::now() - wall_start;
             const double wall_rps = wall.count() > 0.0
