@@ -99,8 +99,11 @@ unsigned cachedLevelsFor(const OramParams &params, std::uint64_t bytes);
 
 /**
  * Largest space a Hierarchy will bulk-load eagerly. A prefilled
- * tree reserves host capacity for all of its buckets (TreeStore's
- * reservation rule); above this, trees start empty and grow lazily.
+ * tree reserves host capacity for all of its buckets and indexes all
+ * of its nodes directly (TreeStore's reservation rule); its position
+ * map stores every leaf up to this size too (PosMap::kDenseLimit), and
+ * the bulk load reads them from it. Above this, trees start empty and
+ * grow lazily.
  */
 constexpr std::uint64_t kPrefillLimit = 1ull << 22;
 
@@ -108,9 +111,10 @@ constexpr std::uint64_t kPrefillLimit = 1ull << 22;
  * Bulk-load an engine's tree, modeling a pre-existing protected
  * dataset: the start state is every block, in id order, in the deepest
  * non-full bucket of its posmap leaf's residence set, with the rest in
- * the stash in id order. TreeStore::prefill builds it level by level
- * (a few passes per tree, not one path walk per block); its file
- * comment gives the argument that the result is identical.
+ * the stash in id order. TreeStore::prefill builds it in leaf order,
+ * one subtree at a time (a few sequential passes per tree, not one
+ * path walk per block); its file comment gives the argument that the
+ * result is identical.
  */
 template <typename Engine>
 void

@@ -19,6 +19,14 @@
 
 namespace palermo {
 
+/**
+ * Most blocks one tree may protect. TreeStore keeps block ids and leaves
+ * in 32 bits below two sentinel words, and a tree has at most one leaf
+ * per block, rounded up to a power of two, so 2^31 keeps both below
+ * them. Every parser of a block count rejects larger values.
+ */
+constexpr std::uint64_t kMaxTreeBlocks = std::uint64_t{1} << 31;
+
 /** Geometry and protocol constants of one ORAM tree. */
 struct OramParams
 {

@@ -1,11 +1,15 @@
 /**
  * @file
- * Position-map storage with PRF defaults for never-touched entries.
+ * Position-map storage: PRF defaults stored for every block of a dense
+ * map, evaluated on demand for never-touched entries of a sparse one.
  */
 
 #include "oram/posmap.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
+#include "oram/oram_params.hh"
 
 namespace palermo {
 
@@ -17,8 +21,16 @@ PosMap::PosMap(std::uint64_t num_blocks, std::uint64_t num_leaves,
     palermo_assert(num_blocks > 0 && num_leaves > 0);
     palermo_assert(default_group >= 1);
     if (num_blocks <= kDenseLimit) {
-        palermo_assert(num_leaves < kUntouched, "leaf beyond 32 bits");
-        dense_.assign(num_blocks, kUntouched);
+        palermo_assert(num_leaves <= kMaxTreeBlocks, "leaf beyond 32 bits");
+        dense_.resize(num_blocks);
+        for (BlockId first = 0; first < num_blocks; first += default_group) {
+            const auto leaf = static_cast<std::uint32_t>(
+                prf_.evalMod(first / default_group, num_leaves));
+            std::fill_n(dense_.begin() + first,
+                        std::min<std::uint64_t>(default_group,
+                                                num_blocks - first),
+                        leaf);
+        }
     }
 }
 

@@ -10,12 +10,14 @@
  * tracks the authoritative mapping the simulator validates against).
  *
  * Storage is hybrid: trees up to kDenseLimit blocks use a direct array
- * of 32-bit leaves (one load per get — the position map is consulted
- * on every access of every tree in the hierarchy), with kUntouched
- * marking never-touched entries; larger trees fall back to a flat
- * open-addressing map so host memory stays proportional to the touched
- * working set. The 32-bit rule is TreeStore's: every leaf count lies
- * below the u32 sentinel (oram/tree_store.hh).
+ * of 32-bit leaves that the constructor fills with every block's PRF
+ * default, each evaluated once. get() is then one load (the position
+ * map is consulted on every access of every tree in the hierarchy), and
+ * TreeStore's bulk load reads each block's leaf from it in block order.
+ * Larger trees fall back to a flat open-addressing map of the entries
+ * set so far, with the PRF evaluated on demand for the rest, so host
+ * memory stays proportional to the touched working set. Leaf counts
+ * obey the 32-bit rule of kMaxTreeBlocks (oram/oram_params.hh).
  */
 
 #ifndef PALERMO_ORAM_POSMAP_HH
@@ -51,13 +53,10 @@ class PosMap
     get(BlockId block) const
     {
         palermo_assert(block < numBlocks_, "posmap block out of range");
-        if (!dense_.empty()) {
-            const std::uint32_t leaf = dense_[block];
-            if (leaf != kUntouched)
-                return leaf;
-        } else if (const Leaf *leaf = entries_.findValue(block)) {
+        if (!dense_.empty())
+            return dense_[block];
+        if (const Leaf *leaf = entries_.findValue(block))
             return *leaf;
-        }
         return prf_.evalMod(block / defaultGroup_, numLeaves_);
     }
 
@@ -67,37 +66,25 @@ class PosMap
     {
         palermo_assert(block < numBlocks_);
         palermo_assert(leaf < numLeaves_);
-        if (!dense_.empty()) {
-            denseTouched_ += dense_[block] == kUntouched;
+        if (!dense_.empty())
             dense_[block] = static_cast<std::uint32_t>(leaf);
-        } else {
+        else
             entries_.insert_or_assign(block, leaf);
-        }
     }
 
     std::uint64_t numBlocks() const { return numBlocks_; }
     std::uint64_t numLeaves() const { return numLeaves_; }
 
-    /** Number of explicitly stored (touched) entries. */
-    std::size_t
-    touchedCount() const
-    {
-        return dense_.empty() ? entries_.size() : denseTouched_;
-    }
-
   private:
     /** Largest tree stored densely: 4M blocks = a 16 MB leaf array. */
     static constexpr std::uint64_t kDenseLimit = std::uint64_t{1} << 22;
-    /** Dense entry never set: the PRF default applies. */
-    static constexpr std::uint32_t kUntouched = 0xFFFFFFFFu;
 
     std::uint64_t numBlocks_;
     std::uint64_t numLeaves_;
     Prf prf_;
     unsigned defaultGroup_;
-    /** Direct storage (small trees); kUntouched = never set. */
+    /** Every block's leaf (small trees); empty above kDenseLimit. */
     std::vector<std::uint32_t> dense_;
-    std::size_t denseTouched_ = 0;
     /** Flat-map fallback for beyond-kDenseLimit trees. */
     FlatMap<BlockId, Leaf> entries_;
 };

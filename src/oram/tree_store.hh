@@ -22,7 +22,10 @@
  * widens a sentinel word to the public u64 kDummySlot / kUsedSlot.
  * Node-id lookup is a direct-index table for the hot top-of-tree ids
  * (every path crosses them) with a flat open-addressing map for the
- * deep-tree tail.
+ * deep-tree tail of a lazily grown tree. A prefilled tree indexes every
+ * node directly: the bulk load materializes nearly all of its buckets,
+ * so a map would only add hashing and slack (on the 2^22-block Ring
+ * tree, about 8.5 MB of map against a 2 MB table).
  *
  * Per-block record: a Path ORAM bucket is Z (id, leaf, data) triples,
  * but a real block sits in exactly one slot or in the stash, so the
@@ -49,7 +52,9 @@
  * 32-bit bound: ids and leaves are stored in 32 bits. The largest space
  * is Table III's 2^28 lines, and its largest tree has 2^27 leaves
  * (PageORAM, Z = 2); the constructor asserts that numBlocks and
- * numLeaves lie below the u32 sentinels.
+ * numLeaves are at most kMaxTreeBlocks (oram/oram_params.hh), which
+ * keeps both below the u32 sentinels, and every parser of a block count
+ * rejects larger values.
  *
  * Bucket state is exposed through Bucket / ConstBucket views (plain
  * {store, index} pairs) that carry the old NodeMeta member API.
@@ -58,22 +63,44 @@
  * per-block greedy loop produces — blocks in id order, each placed in
  * the deepest non-full bucket on its leaf's path (PageORAM: the path
  * bucket, then its sibling, level by level), leftovers to the stash.
- * prefill() builds that state level by level instead: fill the leaves
- * in block-id order, then walk only the overflow upward, one pass per
- * level, still in block-id order; what climbs past the root goes to the
- * stash in that order. This is slot-for-slot identical because the
- * blocks that reach a bucket (or sibling pair), and the order they
- * arrive in, depend only on the levels below it: a block reaches level
- * L exactly when every bucket it tried below was already full, and
- * each pass visits the blocks of its level in id order. Every bucket
- * the greedy loop would try is materialized, so the touched set matches
- * too.
+ * prefill() builds that state in leaf order instead, one subtree of
+ * about kSubtreeBlocks blocks at a time:
+ *   1. Read every block's leaf from the position map, which stores
+ *      them all, and counting-sort the blocks into subtrees, ids
+ *      ascending inside each.
+ *   2. Per subtree, counting-sort its blocks into leaf groups, ids
+ *      ascending inside each group; fill the leaves group by group,
+ *      then climb level by level to just below the subtree's root. A
+ *      bucket (or sibling pair) takes the merge of its children's
+ *      overflow lists in id order and passes on, in id order, what
+ *      fits in neither.
+ *   3. Run the few levels above the subtrees the same way on what the
+ *      subtrees passed on; what climbs past the root goes to the stash
+ *      in id order.
+ *   4. Write the per-block records in one sequential pass.
+ * This is slot-for-slot identical because the blocks that reach a
+ * bucket (or sibling pair), and the order they arrive in, depend only
+ * on the levels below it: a block reaches level L exactly when every
+ * bucket it tried below was already full, and each bucket takes its
+ * arrivals in id order, as the greedy loop did. Every bucket the greedy
+ * loop would try is materialized, so the touched set matches too; only
+ * the order in which buckets materialize (their index in the slot
+ * arrays) changes, and nothing reads it.
+ *
+ * Scratch rule: the sorts and the overflow lists live in the dense
+ * record array, whose 12 B per block the last pass rewrites anyway.
+ * Beside it the build holds only one subtree's leaf-group ends and the
+ * subtrees' list ends. A separate buffer would add to peak RSS, and
+ * the allocator may keep freed buffers of that size in the heap after
+ * the build.
  *
  * Reservation rule: prefill() reserves capacity for every bucket of the
- * tree before it starts. The reservation is address space only — pages
- * are touched as buckets materialize — and it means no later run-time
- * materialization reallocates (and so double-copies) the slot array.
- * Lazily built trees (no prefill) grow on demand as before.
+ * tree before it starts, and sizes the direct node index to the whole
+ * tree, so the tail map stays empty. The reservation is address space
+ * only — pages are touched as buckets materialize — and it means no
+ * later run-time materialization reallocates (and so double-copies) the
+ * slot array. Lazily built trees (no prefill) grow on demand, and keep
+ * the direct index capped at kDirectNodes.
  */
 
 #ifndef PALERMO_ORAM_TREE_STORE_HH
@@ -101,6 +128,13 @@ class TreeStore
     static constexpr std::uint64_t kDummySlot = kInvalid;
     /** Slot-state sentinel: consumed (real or dummy) this epoch. */
     static constexpr std::uint64_t kUsedSlot = kInvalid - 1;
+    /**
+     * Blocks per subtree of the bulk load, about (file comment): a
+     * subtree's ids, leaves and leaf-ordered ids take 12 B each and its
+     * leaf-group ends 4 B per leaf, so its sorts and its climb stay
+     * within a core's cache while its buckets are written in order.
+     */
+    static constexpr std::uint64_t kSubtreeBlocks = std::uint64_t{1} << 16;
 
     /**
      * Mutable view of one materialized bucket: the NodeMeta API over
@@ -394,8 +428,8 @@ class TreeStore
     /**
      * Bulk-load a never-touched tree with blocks [0, numBlocks), each
      * on its position-map leaf with payload 0 (see the file comment for
-     * the level-wise order, the dense per-block records and the
-     * reservation rule).
+     * the leaf-order build, the scratch rule, the dense per-block
+     * records and the reservation rule).
      * @param siblings PageORAM residence: a block that finds its path
      *        bucket full tries that bucket's sibling before climbing.
      * @return Blocks that fit in no bucket, in block-id order; the
@@ -416,33 +450,46 @@ class TreeStore
     /** Record leaf of a block that sits in no slot (residency rule). */
     static constexpr std::uint32_t kNotResident = 0xFFFFFFFFu;
     /**
-     * Nodes below this id resolve through the direct-index table (the
-     * top ~18 tree levels — every path crosses them, so they are the
-     * hot set); deeper ids go through the flat map tail. 2^18 entries
-     * caps the table at 1 MB per tree.
+     * In a lazily grown tree, nodes below this id resolve through the
+     * direct-index table (the top ~18 tree levels — every path crosses
+     * them, so they are the hot set); deeper ids go through the flat
+     * map tail. 2^18 entries caps the table at 1 MB per tree. A
+     * prefilled tree indexes all its nodes directly (file comment).
      */
     static constexpr std::uint64_t kDirectNodes = std::uint64_t{1} << 18;
 
     /**
-     * Per-block record of a block in a slot (file comment), in 32-bit
-     * words so it takes 12 B with no padding, in the dense array and in
-     * the lazy map's entries alike.
+     * Per-block record of a block in a slot (file comment): three 32-bit
+     * words, payload low and high then leaf, 12 B with no padding. A
+     * lazy map entry holds one; a prefilled tree keeps them back to back
+     * in dense_, a plain word array the bulk load also uses as scratch
+     * (the scratch rule).
      */
+    static constexpr unsigned kPayloadLowWord = 0;
+    static constexpr unsigned kPayloadHighWord = 1;
+    static constexpr unsigned kLeafWord = 2;
+    static constexpr unsigned kRecordWords = 3;
     struct Resident
     {
-        std::uint32_t payloadLow = 0;
-        std::uint32_t payloadHigh = 0;
-        std::uint32_t leaf = kNotResident;
+        std::uint32_t word[kRecordWords] = {0, 0, kNotResident};
     };
     static_assert(sizeof(Resident) == 12);
 
-    /** The content of `block` that `record` holds. */
+    /** The content of `block` that its record words hold. */
     static BlockContent
-    unpack(std::uint32_t block, const Resident &record)
+    unpack(std::uint32_t block, const std::uint32_t *record)
     {
         return {block,
-                (std::uint64_t{record.payloadHigh} << 32) | record.payloadLow,
-                record.leaf};
+                (std::uint64_t{record[kPayloadHighWord]} << 32)
+                    | record[kPayloadLowWord],
+                record[kLeafWord]};
+    }
+
+    /** Record words of `block` in a prefilled tree. */
+    std::uint32_t *
+    denseRecord(std::uint32_t block)
+    {
+        return dense_.data() + std::size_t{kRecordWords} * block;
     }
 
     std::uint32_t
@@ -466,14 +513,17 @@ class TreeStore
                        content.leaf < kNotResident,
                        "block id or leaf beyond 32 bits");
         const auto block = static_cast<std::uint32_t>(content.block);
-        palermo_assert(dense_.empty() || block < dense_.size(),
+        palermo_assert(dense_.empty() ||
+                           block < dense_.size() / kRecordWords,
                        "block outside tree");
-        Resident &record = dense_.empty() ? lazy_[block] : dense_[block];
-        palermo_assert(record.leaf == kNotResident,
+        std::uint32_t *record =
+            dense_.empty() ? lazy_[block].word : denseRecord(block);
+        palermo_assert(record[kLeafWord] == kNotResident,
                        "block already in a slot of this tree");
-        record = {static_cast<std::uint32_t>(content.payload),
-                  static_cast<std::uint32_t>(content.payload >> 32),
-                  static_cast<std::uint32_t>(content.leaf)};
+        record[kPayloadLowWord] = static_cast<std::uint32_t>(content.payload);
+        record[kPayloadHighWord] =
+            static_cast<std::uint32_t>(content.payload >> 32);
+        record[kLeafWord] = static_cast<std::uint32_t>(content.leaf);
     }
 
     /** Return the record of a block leaving its slot, and mark the
@@ -481,9 +531,10 @@ class TreeStore
     BlockContent
     leave(std::uint32_t block)
     {
-        Resident &record = dense_.empty() ? lazy_.at(block) : dense_[block];
+        std::uint32_t *record =
+            dense_.empty() ? lazy_.at(block).word : denseRecord(block);
         const BlockContent out = unpack(block, record);
-        record.leaf = kNotResident;
+        record[kLeafWord] = kNotResident;
         return out;
     }
 
@@ -492,7 +543,9 @@ class TreeStore
     resident(std::uint32_t block) const
     {
         return unpack(block,
-                      dense_.empty() ? lazy_.at(block) : dense_[block]);
+                      dense_.empty()
+                          ? lazy_.at(block).word
+                          : dense_.data() + std::size_t{kRecordWords} * block);
     }
 
     OramParams params_;
@@ -516,7 +569,7 @@ class TreeStore
 
     // Per-block records (file comment): dense_ once prefilled, else
     // lazy_ holds the blocks that have entered a slot.
-    std::vector<Resident> dense_;
+    std::vector<std::uint32_t> dense_;
     FlatMap<std::uint32_t, Resident> lazy_;
 };
 

@@ -600,9 +600,15 @@ scenarioSanityCheck(const ScenarioOutcome &outcome,
         || rejected != global.rejected || completed != global.completed)
         report(id + ": per-tenant sums disagree with the global scope");
 
-    for (const IsolationRecord &record : outcome.isolationRuns)
+    for (const IsolationRecord &record : outcome.isolationRuns) {
+        const std::string &at = record.base.point.id;
         if (record.base.metrics.stashOverflowed)
-            report(record.base.point.id + ": stash overflowed");
+            report(at + ": stash overflowed");
+        check_tails(at, record.service.global);
+        for (std::size_t i = 0; i < record.service.perTenant.size(); ++i)
+            check_tails(at + " tenant " + outcome.spec.tenants[i].name,
+                        record.service.perTenant[i]);
+    }
 
     if (outcome.security.requested && !outcome.security.evaluated)
         report(id + ": "

@@ -153,8 +153,9 @@ bool runScenario(const ScenarioSpec &spec,
  * Scenario-level sanity gate: per-tenant accounting closes (accepted ==
  * completed after the drain, tenant sums match the global scope),
  * quantiles are ordered, no reported latency or queueing-delay
- * quantile of the global or a tenant scope lies in its histogram's
- * overflow bucket, the stash behaved, and the security gates hold
+ * quantile of a global or tenant scope, of the shared run or of an
+ * isolation run, lies in its histogram's overflow bucket, the stash
+ * behaved, and the security gates hold
  * when they ran. A requested gate that could not run for lack of
  * leaf observations is a problem too. Appends one line per problem;
  * true when clean.

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "oram/oram_params.hh"
 #include "sim/json_value.hh"
 #include "sim/metrics_json.hh"
 #include "sim/protocol_registry.hh"
@@ -313,6 +314,11 @@ parseScenario(const std::string &text, const std::string &base_dir,
         if (!toUnsigned(*blocks, &spec.blocks) || spec.blocks == 0)
             return fail(error,
                         "scenario.blocks: needs a positive integer");
+        if (spec.blocks > kMaxTreeBlocks)
+            return fail(error, "scenario.blocks: at most "
+                                   + std::to_string(kMaxTreeBlocks)
+                                   + " (2^31) blocks, so block ids and "
+                                     "leaves fit in 32 bits");
     }
     if (const JsonValue *seed = document.find("seed")) {
         if (!toUnsigned(*seed, &spec.seed))

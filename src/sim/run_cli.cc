@@ -8,6 +8,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "oram/oram_params.hh"
 #include "sim/protocol_registry.hh"
 
 namespace palermo {
@@ -20,6 +21,14 @@ fail(std::string *error, const std::string &message)
     if (error)
         *error = message;
     return false;
+}
+
+/** Why a --blocks value above kMaxTreeBlocks is rejected. */
+std::string
+blocksLimitMessage()
+{
+    return "--blocks: at most " + std::to_string(kMaxTreeBlocks)
+           + " (2^31) blocks, so block ids and leaves fit in 32 bits";
 }
 
 } // namespace
@@ -62,6 +71,8 @@ parseRunArgs(int argc, const char *const *argv, RunOptions *options,
                 || !parseUnsigned(value, &result.blocks)
                 || result.blocks == 0)
                 return fail(error, "--blocks needs a positive integer");
+            if (result.blocks > kMaxTreeBlocks)
+                return fail(error, blocksLimitMessage());
         } else if (name == "--reqs") {
             if (!cursor.value(&value)
                 || !parseUnsigned(value, &result.reqs)
@@ -255,6 +266,8 @@ parseReplayArgs(int argc, const char *const *argv,
                 || !parseUnsigned(value, &result.blocks)
                 || result.blocks == 0)
                 return fail(error, "--blocks needs a positive integer");
+            if (result.blocks > kMaxTreeBlocks)
+                return fail(error, blocksLimitMessage());
         } else if (name == "--seed") {
             if (!cursor.value(&value)
                 || !parseUnsigned(value, &result.seed))

@@ -4,6 +4,7 @@
 
 #include <map>
 
+#include "crypto/prf.hh"
 #include "oram/posmap.hh"
 
 namespace palermo {
@@ -41,7 +42,22 @@ TEST(PosMap, SetOverridesDefault)
     const Leaf before = pm.get(10);
     pm.set(10, (before + 1) % 64);
     EXPECT_EQ(pm.get(10), (before + 1) % 64);
-    EXPECT_EQ(pm.touchedCount(), 1u);
+}
+
+TEST(PosMap, StoredDefaultsAreThePrf)
+{
+    // A dense map stores every block's default at construction; each
+    // must be the leaf the PRF gives the block's group.
+    for (const unsigned group : {1u, 4u}) {
+        SCOPED_TRACE(group);
+        constexpr std::uint64_t kBlocks = 4099;
+        constexpr std::uint64_t kLeaves = 512;
+        const PosMap pm(kBlocks, kLeaves, 13, group);
+        const Prf prf(13);
+        for (BlockId block = 0; block < kBlocks; ++block)
+            ASSERT_EQ(pm.get(block), prf.evalMod(block / group, kLeaves))
+                << "block " << block;
+    }
 }
 
 TEST(PosMap, KeySeparation)

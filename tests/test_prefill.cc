@@ -1,11 +1,13 @@
 /**
  * @file
- * Differential test of the level-wise bulk loader (TreeStore::prefill,
- * driven through prefillEngine) against the per-block greedy loop it
- * replaced, kept here as the reference oracle: blocks in id order, each
- * in the deepest non-full bucket of its residence set, the rest in the
- * stash. The two start states must match node by node and slot by
- * slot, with the same touched set and the same stash order.
+ * Differential test of the leaf-order bulk loader (TreeStore::prefill,
+ * driven through prefillEngine) against the per-block greedy loop that
+ * defines the start state, kept here as the reference oracle: blocks in
+ * id order, each in the deepest non-full bucket of its residence set,
+ * the rest in the stash. The two start states must match node by node
+ * and slot by slot, with the same touched set and the same stash order.
+ * The 2^14-block trees fit in one subtree of the loader; the 2^18-block
+ * ones span four, and the levels above them.
  */
 
 #include <gtest/gtest.h>
@@ -182,6 +184,62 @@ TEST(Prefill, RootSpillReachesStashInBlockOrder)
         EXPECT_GT(checkAgainstOracle(params, siblings, posmap),
                   kStashCapacity);
     }
+}
+
+/** Blocks of the multi-subtree cases: four subtrees of the loader. */
+constexpr std::uint64_t kFourSubtrees = 4 * TreeStore::kSubtreeBlocks;
+
+TEST(Prefill, RingTreeOfFourSubtreesMatchesPerBlockLoop)
+{
+    const OramParams params = OramParams::ring(kFourSubtrees, 16, 27, 20);
+    const PosMap posmap(params.numBlocks, params.numLeaves, 0x5eed);
+    checkAgainstOracle(params, false, posmap);
+}
+
+TEST(Prefill, PageSiblingPairsAcrossSubtreeEdges)
+{
+    // Two blocks per leaf: the subtree edge sits after a quarter of the
+    // leaves. Blocks crowd the leaves on both sides of it, so both
+    // paths overflow to the subtree roots, where the two roots are one
+    // sibling pair, and on past the root.
+    const OramParams params = OramParams::path(kFourSubtrees, 2);
+    const Leaf edge = params.numLeaves / 4;
+    PosMap posmap(params.numBlocks, params.numLeaves, 0xc0ffee);
+    for (BlockId block = 0; block < params.numBlocks; block += 32) {
+        posmap.set(block, edge - 1);
+        posmap.set(block + 16, edge);
+    }
+    EXPECT_GT(checkAgainstOracle(params, true, posmap), 0u);
+}
+
+TEST(Prefill, RootSpillAcrossSubtreesReachesStashInBlockOrder)
+{
+    // Blocks forced onto the first and the last leaf, in the first and
+    // the last subtree, interleaved by id: the root merges both spills.
+    const OramParams params = OramParams::ring(kFourSubtrees, 4, 5, 3);
+    PosMap posmap(params.numBlocks, params.numLeaves, 9);
+    for (BlockId block = 0; block < params.numBlocks; block += 64) {
+        posmap.set(block, 0);
+        posmap.set(block + 32, params.numLeaves - 1);
+    }
+    EXPECT_GT(checkAgainstOracle(params, false, posmap), kStashCapacity);
+
+    // A spilled block sits in no slot, so its record lets it enter one
+    // (the residency rule panics otherwise).
+    RingEngine engine(params, 0, ReshuffleMode::Pre, 0, 1, kStashCapacity);
+    prefillEngine(engine, posmap);
+    for (const StashItem &item : engine.stash().items()) {
+        engine.tree().node(0).resetWith(
+            {{item.block, item.entry.payload, item.entry.leaf}});
+        EXPECT_EQ(engine.tree().node(0).slotOf(item.block), 0);
+    }
+}
+
+TEST(Prefill, PrOramGroupedLeavesAcrossSubtrees)
+{
+    const OramParams params = OramParams::path(kFourSubtrees, 4);
+    const PosMap posmap(params.numBlocks, params.numLeaves, 1, 4);
+    checkAgainstOracle(params, false, posmap);
 }
 
 TEST(Prefill, SingleLeafTree)

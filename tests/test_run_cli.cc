@@ -125,6 +125,10 @@ TEST(ParseRunArgs, RejectsBadInput)
     EXPECT_FALSE(parse({"--workload", "bogus"}, &options, &error));
     EXPECT_FALSE(parse({"--blocks", "zero"}, &options, &error));
     EXPECT_FALSE(parse({"--blocks", "0"}, &options, &error));
+    // More blocks than 32-bit ids and leaves can name: rejected with
+    // the limit, not a panic in the tree store.
+    EXPECT_FALSE(parse({"--blocks", "4294967296"}, &options, &error));
+    EXPECT_NE(error.find("at most 2147483648"), std::string::npos) << error;
     EXPECT_FALSE(parse({"--jobs", "0"}, &options, &error));
     EXPECT_FALSE(parse({"--sim-threads", "2"}, &options, &error));
     EXPECT_NE(error.find("unknown flag"), std::string::npos) << error;
@@ -247,6 +251,8 @@ TEST(ParseReplayArgs, RejectsBadInput)
     EXPECT_FALSE(parseReplay({"--protocol", "bogus"}, &options, &error));
     EXPECT_FALSE(parseReplay({"--depth", "0"}, &options, &error));
     EXPECT_FALSE(parseReplay({"--progress", "x"}, &options, &error));
+    EXPECT_FALSE(parseReplay({"--blocks", "4294967296"}, &options, &error));
+    EXPECT_NE(error.find("at most 2147483648"), std::string::npos) << error;
     EXPECT_FALSE(parseReplay({"--jobs", "2"}, &options, &error));
     EXPECT_FALSE(parseReplay({"--sim-threads", "2"}, &options, &error));
     EXPECT_NE(error.find("unknown flag"), std::string::npos) << error;

@@ -190,6 +190,15 @@ TEST(ScenarioTest, RejectsTooFewBlocksForTheTenants)
         << error;
 }
 
+TEST(ScenarioTest, RejectsBlocksBeyondTheTreeLimit)
+{
+    // Block ids and leaves are 32-bit: the parse names the limit
+    // instead of the tree store panicking at construction.
+    expectRejects(R"({"name": "big", "blocks": 4294967296, )"
+                  R"("tenants": [{"name": "a", "rate": 1.0}]})",
+                  "scenario.blocks: at most 2147483648");
+}
+
 TEST(ScenarioTest, MutationFuzzNeverCrashes)
 {
     // Seed text: the full scenario, which parses cleanly, so every

@@ -1,10 +1,11 @@
 /**
  * @file Scenario engine tests: accounting invariants of a shared
  * multi-tenant run (per-tenant sums match globals, accepted ==
- * completed after drain), the sanity gate on tampered outcomes,
- * byte-identity of the rendered document across repeat runs,
- * isolation baselines, closed-loop concurrency limits, and
- * trace-backed tenants (via the checked-in tiny.trace).
+ * completed after drain), the sanity gate on tampered outcomes of the
+ * shared run and of an isolation run, byte-identity of the rendered
+ * document across repeat runs, isolation baselines, closed-loop
+ * concurrency limits, and trace-backed tenants (via the checked-in
+ * tiny.trace).
  */
 
 #include <gtest/gtest.h>
@@ -138,6 +139,41 @@ TEST(ScenarioEngineTest, SanityGateCatchesClampedTailQuantiles)
         << problems[1];
     for (const std::string &problem : problems)
         EXPECT_NE(problem.find("overflow bucket"), std::string::npos);
+}
+
+TEST(ScenarioEngineTest, SanityGateCatchesClampedIsolationTails)
+{
+    ScenarioRunOptions options = fastOptions();
+    options.isolation = true;
+    ScenarioOutcome outcome;
+    std::string error;
+    ASSERT_TRUE(runScenario(smallSpec(), options, &outcome, &error))
+        << error;
+    std::vector<std::string> problems;
+    ASSERT_TRUE(scenarioSanityCheck(outcome, &problems))
+        << (problems.empty() ? "" : problems.front());
+
+    // The same tampering as above, on the open tenant's isolation run:
+    // its global queueing delay and its own tenant scope's latency.
+    ASSERT_EQ(outcome.isolationRuns.size(), 2u);
+    IsolationRecord &iso = outcome.isolationRuns[0];
+    ASSERT_EQ(iso.tenant, "open");
+    Histogram &queueing = iso.service.global.queueingDelay;
+    for (std::uint64_t i = 0, n = 2 * queueing.count(); i < n; ++i)
+        queueing.sample(1e6);
+    Histogram &latency = iso.service.perTenant[0].latency;
+    for (std::uint64_t i = 0, n = latency.count() / 9 + 1; i < n; ++i)
+        latency.sample(1e6);
+
+    EXPECT_FALSE(scenarioSanityCheck(outcome, &problems));
+    ASSERT_EQ(problems.size(), 2u);
+    EXPECT_NE(problems[0].find("/iso/open: queueing delay p50 and above"),
+              std::string::npos)
+        << problems[0];
+    EXPECT_NE(
+        problems[1].find("/iso/open tenant open: latency p95 and above"),
+        std::string::npos)
+        << problems[1];
 }
 
 TEST(ScenarioEngineTest, RepeatRunsAreByteIdentical)
